@@ -342,7 +342,7 @@ Pipeline::setHostProfiler(HostProfiler *prof,
         "stage.writeback", "stage.issue", "stage.flush",
         "stage.rename", "stage.fetch"};
     for (int i = 0; i < HsStageCount; ++i)
-        hsStage[i] = prof->scope(prefix + names[i]);
+        hsStage[i] = prof->scope(prefix + names[i], /*sampled=*/true);
 }
 
 void

@@ -255,9 +255,10 @@ LlcResult
 SharedCache::access(int core, Addr addr, Cycle now)
 {
     SMT_ASSERT(core >= 0 && core < nCores, "bad core %d", core);
-    // Parallel tick: wait until every lower-id core finished the
-    // current chip cycle, so the shared state below is mutated in
-    // the exact serial order. No-op (one branch) in serial runs.
+    // Parallel tick: wait until every (cycle, core) pair before this
+    // one in serial order finished, so the shared state below is
+    // mutated in the exact serial order. No-op (one branch) in
+    // serial runs.
     if (gate)
         gate->enter(core);
     // Timed from here (after the gate): gate waits belong to the

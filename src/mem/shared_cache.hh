@@ -85,8 +85,8 @@ struct LlcResult
  * Ordering gate for parallel chip execution. When installed (see
  * SharedCache::setAccessGate), every access() calls enter(core)
  * first; the parallel tick's implementation (soc/tick_wavefront.hh)
- * blocks there until all lower-id cores have finished the current
- * chip cycle, which reproduces the serial core-id-order access
+ * blocks there until every (cycle, core) pair before the caller's in
+ * serial order has finished, which reproduces the serial access
  * sequence exactly. Serial execution installs none and pays one
  * null-pointer test per access.
  */
@@ -95,7 +95,8 @@ class LlcAccessGate
   public:
     virtual ~LlcAccessGate() = default;
 
-    /** Block until @p core may touch the shared state this cycle. */
+    /** Block until @p core may touch the shared state in the cycle
+     *  it is ticking. */
     virtual void enter(int core) = 0;
 };
 

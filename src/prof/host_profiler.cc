@@ -18,13 +18,13 @@ HostProfiler::HostProfiler(std::uint64_t sampleEvery,
 }
 
 int
-HostProfiler::scope(const std::string &name)
+HostProfiler::scope(const std::string &name, bool sampled)
 {
     for (std::size_t i = 0; i < scopes.size(); ++i) {
         if (scopes[i].name == name)
             return static_cast<int>(i);
     }
-    scopes.emplace_back(name);
+    scopes.emplace_back(name, sampled ? every : 1);
     return static_cast<int>(scopes.size() - 1);
 }
 
@@ -63,6 +63,12 @@ const std::string &
 HostProfiler::scopeName(int id) const
 {
     return scopes[static_cast<std::size_t>(id)].name;
+}
+
+std::uint64_t
+HostProfiler::scopeEvery(int id) const
+{
+    return scopes[static_cast<std::size_t>(id)].every;
 }
 
 std::uint64_t
@@ -132,6 +138,8 @@ HostProfiler::renderNdjson(const std::string &source) const
         out += fmtU64(s.ns.load(std::memory_order_relaxed));
         out += ", \"maxNs\": ";
         out += fmtU64(s.maxNs.load(std::memory_order_relaxed));
+        out += ", \"every\": ";
+        out += fmtU64(s.every);
         out += "}\n";
     }
     for (const std::string &r : records) {

@@ -16,7 +16,8 @@
  *  - add() is thread-safe (relaxed atomics) and cheap: one or two
  *    steady_clock reads per timed region. Tick-granular call sites
  *    additionally decimate 1-in-sampleEvery() ticks so the profiler
- *    never dominates the hot loop.
+ *    never dominates the hot loop, and register their scopes as
+ *    sampled so reports can scale them back to estimated totals.
  *  - Zero overhead when off: no HostProfiler object exists unless
  *    --prof was given, and every hook is guarded by a null check.
  */
@@ -51,10 +52,13 @@ class HostProfiler
     std::uint64_t sampleEvery() const { return every; }
 
     /**
-     * Register (or look up) a named scope and return its id.
-     * Single-threaded: call before worker threads start.
+     * Register (or look up) a named scope and return its id. A
+     * @p sampled scope is timed on 1 in sampleEvery() ticks, an exact
+     * one on every hit; the scope line's "every" field says which, so
+     * reports can scale sampled totals. Single-threaded: call before
+     * worker threads start.
      */
-    int scope(const std::string &name);
+    int scope(const std::string &name, bool sampled = false);
 
     /** Monotonic host ns since profiler construction. */
     std::uint64_t
@@ -86,6 +90,8 @@ class HostProfiler
     /** @{ */
     std::size_t scopeCount() const { return scopes.size(); }
     const std::string &scopeName(int id) const;
+    /** 1 for exact scopes, sampleEvery() for sampled ones. */
+    std::uint64_t scopeEvery(int id) const;
     std::uint64_t scopeHits(int id) const;
     std::uint64_t scopeNs(int id) const;
     std::uint64_t scopeMaxNs(int id) const;
@@ -98,8 +104,9 @@ class HostProfiler
      * Render the whole profile as smtsim-prof-v1 NDJSON: a header
      * line (schema, source tag, sample divisor, host facts incl.
      * load average, build provenance), one "scope" line per
-     * registered scope, every record() line verbatim, and a footer
-     * with counts. Call after worker threads have joined.
+     * registered scope (hits, ns, maxNs, every), every record() line
+     * verbatim, and a footer with counts. Call after worker threads
+     * have joined.
      */
     std::string renderNdjson(const std::string &source) const;
 
@@ -116,8 +123,12 @@ class HostProfiler
   private:
     struct ScopeSlot
     {
-        explicit ScopeSlot(std::string n) : name(std::move(n)) {}
+        ScopeSlot(std::string n, std::uint64_t e)
+            : name(std::move(n)), every(e)
+        {
+        }
         std::string name;
+        std::uint64_t every; //!< 1 = exact, else the sampling divisor
         std::atomic<std::uint64_t> hits{0};
         std::atomic<std::uint64_t> ns{0};
         std::atomic<std::uint64_t> maxNs{0};

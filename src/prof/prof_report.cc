@@ -14,8 +14,11 @@ namespace {
 struct ScopeAgg
 {
     std::uint64_t hits = 0;
-    std::uint64_t ns = 0;
+    std::uint64_t ns = 0;    //!< timed host ns
+    std::uint64_t estNs = 0; //!< ns scaled by each file's "every"
     std::uint64_t maxNs = 0;
+    std::uint64_t every = 0; //!< 1 = exact; 0 = not seen yet
+    bool mixedEvery = false; //!< files disagree on the divisor
 };
 
 struct WaveAgg
@@ -116,12 +119,23 @@ ingestFile(const std::string &path, Report &rep, std::string &err)
             if (!name)
                 continue;
             ScopeAgg &agg = rep.scopes[name->str];
-            if (agg.hits == 0 && agg.ns == 0 && agg.maxNs == 0)
+            // Profiles without "every" predate the sampled/exact
+            // split; their scopes are reported unscaled.
+            const JsonValue *ev = v.find("every");
+            const std::uint64_t every =
+                ev ? std::max<std::uint64_t>(ev->asU64(), 1) : 1;
+            if (agg.every == 0) {
                 rep.scopeOrder.push_back(name->str);
+                agg.every = every;
+            } else if (agg.every != every) {
+                agg.mixedEvery = true;
+            }
             if (const JsonValue *x = v.find("hits"))
                 agg.hits += x->asU64();
-            if (const JsonValue *x = v.find("ns"))
+            if (const JsonValue *x = v.find("ns")) {
                 agg.ns += x->asU64();
+                agg.estNs += x->asU64() * every;
+            }
             if (const JsonValue *x = v.find("maxNs"))
                 agg.maxNs = std::max(agg.maxNs, x->asU64());
         } else if (type->str == "wavefront") {
@@ -238,21 +252,26 @@ renderProfReport(const std::vector<std::string> &paths,
     out += "note: host wall-clock times; nondeterministic, never "
            "golden-checked\n";
 
-    // -- top scopes by accumulated host time --------------------
+    // -- top scopes by estimated host time ----------------------
+    // Sampled scopes are timed on 1 in `every` ticks and exact ones
+    // on every hit, so only the scaled totals are comparable: rank
+    // and share by the estimate, and show the timed total beside it.
     std::vector<std::string> order = rep.scopeOrder;
     std::stable_sort(order.begin(), order.end(),
                      [&rep](const std::string &a,
                             const std::string &b) {
-                         return rep.scopes[a].ns > rep.scopes[b].ns;
+                         return rep.scopes[a].estNs >
+                             rep.scopes[b].estNs;
                      });
-    std::uint64_t totalNs = 0;
+    std::uint64_t totalEstNs = 0;
     for (const auto &kv : rep.scopes)
-        totalNs += kv.second.ns;
+        totalEstNs += kv.second.estNs;
     if (!order.empty()) {
-        out += "\n== top scopes (sampled host wall) ==\n";
+        out += "\n== top scopes (host wall; est_ms scales sampled "
+               "scopes by 1/every) ==\n";
         TextTable t;
-        t.header({"scope", "hits", "total_ms", "mean_us", "max_us",
-                  "share%"});
+        t.header({"scope", "every", "hits", "timed_ms", "est_ms",
+                  "mean_us", "max_us", "est_share%"});
         int rows = 0;
         for (const std::string &name : order) {
             if (rows++ >= opts.topScopes)
@@ -262,11 +281,14 @@ renderProfReport(const std::vector<std::string> &paths,
                 s.hits ? us(s.ns) / static_cast<double>(s.hits)
                        : 0.0;
             const double share =
-                totalNs ? 100.0 * static_cast<double>(s.ns) /
-                              static_cast<double>(totalNs)
-                        : 0.0;
-            t.row({name, std::to_string(s.hits),
+                totalEstNs ? 100.0 * static_cast<double>(s.estNs) /
+                                 static_cast<double>(totalEstNs)
+                           : 0.0;
+            t.row({name,
+                   s.mixedEvery ? "mixed" : std::to_string(s.every),
+                   std::to_string(s.hits),
                    TextTable::fmt(ms(s.ns), 3),
+                   TextTable::fmt(ms(s.estNs), 3),
                    TextTable::fmt(mean, 2),
                    TextTable::fmt(us(s.maxNs), 2),
                    TextTable::fmt(share, 1)});

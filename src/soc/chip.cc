@@ -251,88 +251,99 @@ ChipSimulator::totalsOf(int thread) const
     return t;
 }
 
-void
-ChipSimulator::tickAllCores()
+std::uint64_t
+ChipSimulator::maxCommitted() const
 {
-    ++cycle;
-    // Decide once, on the main thread, whether this chip cycle's
-    // core ticks are host-timed; the workers read the flag after
-    // their awaitCycle acquire (beginCycle's release publishes it).
-    // Every core samples the same cycles, so per-core scope totals
-    // stay comparable.
-    if (hprof)
-        hprofSample =
-            ++hprofTickN >= hprofEvery ? (hprofTickN = 0, true)
-                                       : false;
-    if (!wavefront) {
-        if (hprofSample) {
-            for (int c = 0; c < nCores; ++c) {
-                const std::uint64_t t0 = hprof->nowNs();
-                cores[c].pipe->tick();
-                hprof->add(hsCoreTick[static_cast<std::size_t>(c)],
-                           t0, hprof->nowNs());
-            }
-        } else {
-            for (Core &core : cores)
-                core.pipe->tick();
-        }
-        return;
-    }
-    // Publish the cycle, tick worker 0's cores on this thread, then
-    // wait for the rest: once awaitAll returns, every core's tick
-    // (and its LLC accesses, in serial core-id order thanks to the
-    // gate) happened-before anything the main thread does next.
-    wavefront->beginCycle(cycle);
-    tickCores(0, cycle);
-    if (hprof) {
-        const std::uint64_t t0 = hprof->nowNs();
-        wavefront->awaitAll(cycle);
-        hprof->add(hsMainAwait, t0, hprof->nowNs());
-    } else {
-        wavefront->awaitAll(cycle);
-    }
+    std::uint64_t most = 0;
+    for (int s = 0; s < nThreads; ++s)
+        most = std::max(most, committedOf(s));
+    return most;
 }
 
 void
-ChipSimulator::tickCores(int w, Cycle t)
+ChipSimulator::tickQuantum(std::uint64_t commitTarget, Cycle maxCycles)
 {
-    // Ascending core order per worker is what makes the wavefront's
-    // waits-for relation acyclic — see soc/tick_wavefront.hh.
-    if (hprof && hprofSample) {
+    QuantumBounds b;
+    b.now = cycle;
+    b.commitLimit = commitTarget;
+    b.maxCommitted = maxCommitted();
+    b.commitWidth = cfg.core.commitWidth;
+    b.maxCycles = maxCycles;
+    // Only what run()'s chipWork acts on bounds the quantum; a
+    // 1-core chip has no epochs, audits or migrations there.
+    if (nCores > 1) {
+        b.epochAt = cfg.soc.epochCycles > 0 ? nextEpochAt : 0;
+        b.auditPeriod = auditPeriod;
+        b.draining = migrating;
+    }
+    b.telemetry = telem != nullptr;
+    const Cycle k = quantumLength(b);
+    const Cycle end = cycle + k;
+    maxQuantum = std::max(maxQuantum, k);
+
+    // Publish the quantum, tick worker 0's cores on this thread, then
+    // wait for the rest: once awaitAll returns, every core's ticks
+    // (and their LLC accesses, in serial order thanks to the gate)
+    // and cycle records happened-before anything the main thread
+    // does next.
+    if (wavefront)
+        wavefront->beginQuantum(end);
+    tickCores(0, cycle, end);
+    if (wavefront) {
+        ProfScope hps(hprof, hsMainAwait);
+        wavefront->awaitAll(end);
+    }
+    cycle = end;
+}
+
+void
+ChipSimulator::tickCores(int w, Cycle from, Cycle end)
+{
+    // Cycle-major, ascending core order per worker is what makes the
+    // wavefront's waits-for relation acyclic — see
+    // soc/tick_wavefront.hh.
+    for (Cycle t = from + 1; t <= end; ++t) {
+        // Every core times the same cycles, so per-core scope totals
+        // stay comparable.
+        HostProfiler *timer =
+            hprof && t % hprofEvery == 0 ? hprof : nullptr;
         for (int c = w; c < nCores; c += nTickWorkers) {
-            const std::uint64_t t0 = hprof->nowNs();
-            cores[c].pipe->tick();
-            hprof->add(hsCoreTick[static_cast<std::size_t>(c)], t0,
-                       hprof->nowNs());
-            wavefront->coreDone(c, t);
+            const std::size_t ci = static_cast<std::size_t>(c);
+            {
+                ProfScope hps(timer, timer ? hsCoreTick[ci] : 0);
+                cores[ci].pipe->tick();
+            }
+            const MemorySystem &mem = *cores[ci].mem;
+            CycleRecord &r = cycleRecord(c, t);
+            r.slowCtx = 0;
+            for (int k = 0; k < nCtx; ++k) {
+                if (mem.pendingL1DLoads(k) > 0)
+                    r.slowCtx |= 1u << k;
+            }
+            r.memLoads =
+                static_cast<std::uint32_t>(mem.outstandingMemLoads());
+            if (wavefront)
+                wavefront->coreDone(c, t);
         }
-        return;
-    }
-    for (int c = w; c < nCores; c += nTickWorkers) {
-        cores[c].pipe->tick();
-        wavefront->coreDone(c, t);
     }
 }
 
 void
-ChipSimulator::workerLoop(int w)
+ChipSimulator::workerLoop(int w, Cycle start)
 {
-    Cycle last = 0;
+    Cycle last = start;
     const int idleScope =
         hprof ? hsWorkerIdle[static_cast<std::size_t>(w - 1)] : 0;
     for (;;) {
-        Cycle t;
-        if (hprof) {
-            const std::uint64_t t0 = hprof->nowNs();
-            t = wavefront->awaitCycle(last);
-            hprof->add(idleScope, t0, hprof->nowNs());
-        } else {
-            t = wavefront->awaitCycle(last);
+        Cycle end;
+        {
+            ProfScope hps(hprof, idleScope);
+            end = wavefront->awaitQuantum(last);
         }
-        if (t == TickWavefront::stopCycle)
+        if (end == TickWavefront::stopCycle)
             return;
-        tickCores(w, t);
-        last = t;
+        tickCores(w, last, end);
+        last = end;
     }
 }
 
@@ -347,7 +358,7 @@ ChipSimulator::startTickWorkers()
         return;
 
     nTickWorkers = w;
-    wavefront = std::make_unique<TickWavefront>(nCores);
+    wavefront = std::make_unique<TickWavefront>(nCores, cycle);
     llc->setAccessGate(wavefront.get());
     if (hprof) {
         // Scope registration is single-threaded: both the wavefront
@@ -362,7 +373,9 @@ ChipSimulator::startTickWorkers()
     }
     workers.reserve(static_cast<std::size_t>(w - 1));
     for (int i = 1; i < w; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
+        workers.emplace_back([this, i, start = cycle] {
+            workerLoop(i, start);
+        });
 }
 
 void
@@ -440,8 +453,6 @@ void
 ChipSimulator::setHostProfiler(HostProfiler *prof)
 {
     hprof = prof;
-    hprofTickN = 0;
-    hprofSample = false;
     hsCoreTick.clear();
     if (llc)
         llc->setHostProfiler(prof);
@@ -454,7 +465,8 @@ ChipSimulator::setHostProfiler(HostProfiler *prof)
     hprofEvery = prof->sampleEvery();
     for (int c = 0; c < nCores; ++c) {
         const std::string cp = "c" + std::to_string(c) + ".";
-        hsCoreTick.push_back(prof->scope(cp + "tick"));
+        hsCoreTick.push_back(
+            prof->scope(cp + "tick", /*sampled=*/true));
         cores[c].pipe->setHostProfiler(prof, cp);
     }
     hsEpoch = prof->scope("chip.epoch");
@@ -662,12 +674,17 @@ SimResult
 ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
                    std::uint64_t warmupCommits)
 {
+    ring.assign(static_cast<std::size_t>(nCores) * quantumRing, {});
     startTickWorkers();
 
+    // Everything below runs once per quantum, at its last cycle:
+    // quantumLength() ends every quantum on the first cycle where
+    // chipWork, the warmup check or the commit check could act, so
+    // this is exactly the per-cycle Simulator::run loop.
+    //
     // The epoch/migration machinery runs in warmup and measurement
     // alike (it is machine behaviour, not a statistic); with one
-    // core there is nowhere to move, so it is skipped entirely and
-    // this loop is exactly Simulator::run's.
+    // core there is nowhere to move, so it is skipped entirely.
     auto chipWork = [this]() {
         if (nCores <= 1)
             return;
@@ -691,14 +708,9 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
     if (warmupCommits > 0) {
         bool warm = false;
         while (!warm && cycle < maxCycles) {
-            tickAllCores();
+            tickQuantum(warmupCommits, maxCycles);
             chipWork();
-            for (int s = 0; s < nThreads; ++s) {
-                if (committedOf(s) >= warmupCommits) {
-                    warm = true;
-                    break;
-                }
-            }
+            warm = maxCommitted() >= warmupCommits;
         }
         resetAllStats();
     }
@@ -713,40 +725,44 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
 
     bool done = false;
     while (!done && cycle < maxCycles) {
-        tickAllCores();
+        const Cycle from = cycle;
+        tickQuantum(commitLimit, maxCycles);
         chipWork();
 
-        int nSlow = 0;
-        for (int s = 0; s < nThreads; ++s) {
-            const bool slow =
-                cores[coreOf[s]].mem->pendingL1DLoads(ctxOf[s]) > 0;
-            if (slow)
-                ++nSlow;
-            if (telem &&
-                slow != telemSlow[static_cast<std::size_t>(s)]) {
-                telemSlow[static_cast<std::size_t>(s)] = slow;
-                telem->event(
-                    coreTracks[static_cast<std::size_t>(coreOf[s])],
-                    cycle, slow ? "phase-slow" : "phase-fast",
-                    "{\"thread\": " + std::to_string(s) + "}");
+        // Replay the quantum's cycle records in cycle order. A
+        // migration can only complete in a one-cycle quantum, and it
+        // moves no MSHR entry, so today's placement reads every
+        // cycle's records as the per-cycle loop did; contexts that
+        // hold no thread (which can still own MSHR loads of a
+        // departed one) are skipped.
+        for (Cycle t = from + 1; t <= cycle; ++t) {
+            int nSlow = 0;
+            for (int s = 0; s < nThreads; ++s) {
+                const std::uint32_t mask =
+                    cycleRecord(coreOf[s], t).slowCtx;
+                const bool slow = (mask >> ctxOf[s]) & 1u;
+                if (slow)
+                    ++nSlow;
+                if (telem &&
+                    slow != telemSlow[static_cast<std::size_t>(s)]) {
+                    telemSlow[static_cast<std::size_t>(s)] = slow;
+                    telem->event(
+                        coreTracks[static_cast<std::size_t>(
+                            coreOf[s])],
+                        t, slow ? "phase-slow" : "phase-fast",
+                        "{\"thread\": " + std::to_string(s) + "}");
+                }
             }
+            ++slowCycles[static_cast<std::size_t>(nSlow)];
+            std::uint64_t memLoads = 0;
+            for (int c = 0; c < nCores; ++c)
+                memLoads += cycleRecord(c, t).memLoads;
+            mlp.sample(memLoads);
+            if (telem)
+                telem->tick(t);
         }
-        ++slowCycles[static_cast<std::size_t>(nSlow)];
-        std::uint64_t memLoads = 0;
-        for (const Core &core : cores) {
-            memLoads += static_cast<std::uint64_t>(
-                core.mem->outstandingMemLoads());
-        }
-        mlp.sample(memLoads);
-        if (telem)
-            telem->tick(cycle);
 
-        for (int s = 0; s < nThreads; ++s) {
-            if (committedOf(s) >= commitLimit) {
-                done = true;
-                break;
-            }
-        }
+        done = maxCommitted() >= commitLimit;
     }
 
     stopTickWorkers();

@@ -89,9 +89,10 @@ class ChipSimulator
      * channels and the arbiter's event stream; run() then samples
      * every interval and records allocator epochs, migrations and
      * phase transitions as events. All emissions happen on the main
-     * thread between cycles, or inside the LLC access stream whose
-     * total order the wavefront gate reproduces, so the files are
-     * byte-identical for every --chip-jobs value. Call before run().
+     * thread between cycles (an attached hub pins every quantum to
+     * one cycle), or inside the LLC access stream whose total order
+     * the wavefront gate reproduces, so the files are byte-identical
+     * for every --chip-jobs value. Call before run().
      */
     void setTelemetry(TelemetryHub *hub);
 
@@ -103,9 +104,9 @@ class ChipSimulator
      * parallel run adds the wavefront gate scopes, per-worker idle
      * scopes and the main thread's await scope, and stopTickWorkers
      * harvests the per-core gate-wait records. Core ticks are timed
-     * on 1 in prof->sampleEvery() chip cycles (all cores sample the
-     * same cycles). Host times never touch SimResult. Call before
-     * run().
+     * on the chip cycles divisible by prof->sampleEvery() (all cores
+     * sample the same cycles). Host times never touch SimResult.
+     * Call before run().
      */
     void setHostProfiler(HostProfiler *prof);
 
@@ -129,6 +130,8 @@ class ChipSimulator
     void runEpochNow() { runEpoch(); }
     /** Audit every auditEvery cycles during run() (0 = off). */
     void setAuditInterval(Cycle auditEvery) { auditPeriod = auditEvery; }
+    /** Longest quantum run() ticked between two main-thread steps. */
+    Cycle longestQuantum() const { return maxQuantum; }
     /** @} */
 
   private:
@@ -171,28 +174,45 @@ class ChipSimulator
 
     void buildChip(PolicyKind policyKind);
     void prewarmChip();
-    void tickAllCores();
     void resetAllStats();
 
-    /** @name Parallel tick (cfg.soc.chipJobs > 1)
-     * Worker w ticks cores {w, w + W, ...} in ascending order; the
-     * main thread is worker 0 and runs everything between cycles
-     * (migrations, epochs, sampling) alone. Determinism comes from
-     * the TickWavefront gate in the SharedCache — see
+    /** @name Quantum tick
+     * Worker w of W ticks cores {w, w + W, ...}, cycle-major and in
+     * ascending core order, through each published quantum; the main
+     * thread is worker 0 and runs everything between quanta
+     * (migrations, epochs, sampling) alone. With W == 1 there is no
+     * TickWavefront and this is the serial loop. Determinism comes
+     * from the TickWavefront gate in the SharedCache — see
      * soc/tick_wavefront.hh for the ordering argument.
      */
     /** @{ */
+    /** What the main thread samples of one core after one cycle. */
+    struct CycleRecord
+    {
+        std::uint32_t slowCtx = 0;  //!< contexts with L1D loads out
+        std::uint32_t memLoads = 0; //!< outstandingMemLoads()
+    };
+
+    /** Tick every core through the next quantum (quantumLength()
+     *  toward @p commitTarget) and advance cycle to its end. */
+    void tickQuantum(std::uint64_t commitTarget, Cycle maxCycles);
     void startTickWorkers();
     void stopTickWorkers();
-    void workerLoop(int w);
-    void tickCores(int w, Cycle t);
+    void workerLoop(int w, Cycle start);
+    /** Worker @p w's cores through cycles (from, end]. */
+    void tickCores(int w, Cycle from, Cycle end);
+    CycleRecord &cycleRecord(int core, Cycle t)
+    {
+        return ring[static_cast<std::size_t>(core) * quantumRing +
+                    t % quantumRing];
+    }
     /** @} */
 
     CtxTotals readCtx(int core, int ctx) const;
     CtxTotals totalsOf(int thread) const;
 
     /** Just the committed count — the run loop polls this for every
-     *  thread every cycle, so it must not assemble all 11 counters
+     *  thread every quantum, so it must not assemble all 11 counters
      *  the way totalsOf() does. */
     std::uint64_t
     committedOf(int thread) const
@@ -202,6 +222,9 @@ class ChipSimulator
             cores[h.core].pipe->stats().committed[h.ctx] -
             h.attachAt.committed;
     }
+
+    /** The most any software thread has committed. */
+    std::uint64_t maxCommitted() const;
 
     /** Collect interval metrics and consult the allocator; starts a
      *  migration (drain phase) when the placement changes. */
@@ -241,12 +264,18 @@ class ChipSimulator
 
     Cycle cycle = 0;
     Cycle auditPeriod = 0;
+    Cycle maxQuantum = 0;
 
-    /** @name Parallel-tick state (empty/null in serial runs) */
+    /** @name Quantum-tick state (wavefront/workers empty in serial
+     *  runs; the ring is allocated by run()) */
     /** @{ */
     int nTickWorkers = 1;
     std::unique_ptr<TickWavefront> wavefront;
     std::vector<std::thread> workers;
+    /** Per-core record rings, nCores x quantumRing: each core's own
+     *  worker writes its slots, the main thread reads them after the
+     *  quantum's awaitAll. */
+    std::vector<CycleRecord> ring;
     /** @} */
 
     /** @name Telemetry (null/empty unless setTelemetry ran) */
@@ -261,11 +290,6 @@ class ChipSimulator
     /** @{ */
     HostProfiler *hprof = nullptr;
     std::uint64_t hprofEvery = 0;  //!< cached sampleEvery()
-    std::uint64_t hprofTickN = 0;  //!< decimation counter
-    /** This chip cycle is host-timed. Written by the main thread
-     *  before beginCycle (whose release publishes it), read by the
-     *  workers after their awaitCycle acquire. */
-    bool hprofSample = false;
     std::vector<int> hsCoreTick;   //!< c<i>.tick scope ids
     int hsEpoch = 0;               //!< chip.epoch scope
     int hsMigrate = 0;             //!< chip.migrate scope

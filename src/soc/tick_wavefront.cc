@@ -1,5 +1,6 @@
 #include "soc/tick_wavefront.hh"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/logging.hh"
@@ -7,10 +8,38 @@
 
 namespace smt {
 
-TickWavefront::TickWavefront(int numCores)
-    : nCores(numCores), cs(static_cast<std::size_t>(numCores))
+Cycle
+quantumLength(const QuantumBounds &b)
+{
+    if (b.draining || b.telemetry)
+        return 1;
+    // No thread commits more than commitWidth per cycle (the width
+    // is per core), so none reaches the limit before this many
+    // cycles, and the quantum ends on the first one that could.
+    Cycle k = 1;
+    if (b.commitLimit > b.maxCommitted) {
+        const std::uint64_t left = b.commitLimit - b.maxCommitted;
+        const std::uint64_t w =
+            static_cast<std::uint64_t>(std::max(b.commitWidth, 1));
+        k = left / w + (left % w != 0 ? 1 : 0);
+    }
+    k = std::min(k, quantumRing);
+    if (b.maxCycles > b.now)
+        k = std::min(k, b.maxCycles - b.now);
+    if (b.epochAt > 0)
+        k = std::min(k, b.epochAt > b.now ? b.epochAt - b.now : 1);
+    if (b.auditPeriod > 0)
+        k = std::min(k, b.auditPeriod - b.now % b.auditPeriod);
+    return std::max<Cycle>(k, 1);
+}
+
+TickWavefront::TickWavefront(int numCores, Cycle start)
+    : nCores(numCores), cs(static_cast<std::size_t>(numCores)),
+      go(start)
 {
     SMT_ASSERT(numCores >= 1, "wavefront over %d cores", numCores);
+    for (CoreSync &c : cs)
+        c.done.store(start, std::memory_order_relaxed);
 }
 
 void
@@ -30,31 +59,32 @@ TickWavefront::backoff(unsigned &spins)
 }
 
 void
-TickWavefront::beginCycle(Cycle t)
+TickWavefront::beginQuantum(Cycle end)
 {
-    // The release pairs with awaitCycle's acquire: everything the
-    // main thread did between cycles (migrations, stat resets,
-    // epoch bookkeeping) is visible to every worker before it
-    // touches its cores.
-    go.store(t, std::memory_order_release);
+    // The release pairs with awaitQuantum's acquire: everything the
+    // main thread did between quanta (migrations, stat resets,
+    // epoch bookkeeping, reading the record rings) happens-before
+    // any worker touches its cores again.
+    go.store(end, std::memory_order_release);
 }
 
 Cycle
-TickWavefront::awaitCycle(Cycle last) const
+TickWavefront::awaitQuantum(Cycle last) const
 {
     unsigned spins = 0;
-    Cycle t;
-    while ((t = go.load(std::memory_order_acquire)) == last)
+    Cycle end;
+    while ((end = go.load(std::memory_order_acquire)) == last)
         backoff(spins);
-    return t;
+    return end;
 }
 
 void
 TickWavefront::coreDone(int core, Cycle t)
 {
     // The release pairs with the acquires in enter() and awaitAll():
-    // every effect of this core's tick — pipeline state and its LLC
-    // accesses — is visible to whoever observes the completion.
+    // every effect of this core's tick — pipeline state, its LLC
+    // accesses and its cycle record — is visible to whoever observes
+    // the completion.
     cs[static_cast<std::size_t>(core)].done.store(
         t, std::memory_order_release);
 }
@@ -96,18 +126,20 @@ TickWavefront::setHostProfiler(HostProfiler *prof)
 void
 TickWavefront::enter(int core)
 {
-    // The published cycle is stable for the duration of a tick (the
-    // main thread only advances it after awaitAll), and the worker
-    // already acquired it in awaitCycle, so a relaxed load suffices.
-    const Cycle t = go.load(std::memory_order_relaxed);
+    // Only this core's worker writes its completion counter, so the
+    // cycle being ticked is one past it, read without ordering.
     CoreSync &me = cs[static_cast<std::size_t>(core)];
+    const Cycle t = me.done.load(std::memory_order_relaxed) + 1;
     if (me.granted == t)
         return;
     if (!hprof) {
-        for (int k = 0; k < core; ++k) {
+        for (int k = 0; k < nCores; ++k) {
+            if (k == core)
+                continue;
+            const Cycle need = needFrom(k, core, t);
             unsigned spins = 0;
             while (cs[static_cast<std::size_t>(k)].done.load(
-                       std::memory_order_acquire) < t)
+                       std::memory_order_acquire) < need)
                 backoff(spins);
         }
         me.granted = t;
@@ -115,16 +147,19 @@ TickWavefront::enter(int core)
     }
 
     // Profiled wait: accumulate into locals while blocked and store
-    // once at the end, so this core's cache line (which higher-id
-    // cores spin on) is not bounced mid-wait.
+    // once at the end, so this core's cache line (which other cores
+    // spin on) is not bounced mid-wait.
     std::uint64_t t0 = 0;
     std::uint64_t spinAcc = 0, yieldAcc = 0;
     bool blocked = false, escalated = false;
     int firstAwaited = -1;
-    for (int k = 0; k < core; ++k) {
+    for (int k = 0; k < nCores; ++k) {
+        if (k == core)
+            continue;
+        const Cycle need = needFrom(k, core, t);
         unsigned spins = 0;
         while (cs[static_cast<std::size_t>(k)].done.load(
-                   std::memory_order_acquire) < t) {
+                   std::memory_order_acquire) < need) {
             if (!blocked) {
                 blocked = true;
                 firstAwaited = k;

@@ -46,6 +46,17 @@ ndjsonLines(const std::string &text)
     return lines;
 }
 
+/** Id of the scope named @p name, or -1 (never registers one). */
+int
+scopeIdOf(const HostProfiler &prof, const std::string &name)
+{
+    for (std::size_t i = 0; i < prof.scopeCount(); ++i) {
+        if (prof.scopeName(static_cast<int>(i)) == name)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
 // ---------------------------------------------------------------
 // profiler unit tests
 // ---------------------------------------------------------------
@@ -130,13 +141,15 @@ TEST(HostProfiler, NdjsonEveryLineParsesAndShapeIsPinned)
     EXPECT_NE(hdr.find("host")->find("cpus"), nullptr);
     EXPECT_NE(hdr.find("provenance"), nullptr);
 
-    // Scope line carries the totals.
+    // Scope line carries the totals and its sampling divisor (1 for
+    // an exact scope).
     const JsonValue &sc = vals[1];
     EXPECT_EQ(sc.find("type")->str, "scope");
     EXPECT_EQ(sc.find("name")->str, "stage.fetch");
     EXPECT_EQ(sc.find("hits")->asU64(), 1u);
     EXPECT_EQ(sc.find("ns")->asU64(), 20u);
     EXPECT_EQ(sc.find("maxNs")->asU64(), 20u);
+    EXPECT_EQ(sc.find("every")->asU64(), 1u);
 
     // record() lines pass through verbatim.
     EXPECT_EQ(lines[2], "{\"type\": \"run\", \"wallNs\": 1234}");
@@ -148,6 +161,22 @@ TEST(HostProfiler, NdjsonEveryLineParsesAndShapeIsPinned)
     EXPECT_EQ(ft.find("records")->asU64(), 1u);
     EXPECT_EQ(ft.find("spans")->asU64(), 0u);
     EXPECT_EQ(ft.find("droppedSpans")->asU64(), 0u);
+}
+
+TEST(HostProfiler, SampledScopesCarryTheirDivisor)
+{
+    HostProfiler prof(/*sampleEvery=*/32);
+    const int exact = prof.scope("wave.main.await");
+    const int sampled = prof.scope("c0.tick", /*sampled=*/true);
+    EXPECT_EQ(prof.scopeEvery(exact), 1u);
+    EXPECT_EQ(prof.scopeEvery(sampled), 32u);
+    // Lookups by name keep the registered kind.
+    EXPECT_EQ(prof.scope("c0.tick"), sampled);
+    EXPECT_EQ(prof.scopeEvery(prof.scope("c0.tick")), 32u);
+    EXPECT_NE(prof.renderNdjson("t").find(
+                  "\"name\": \"c0.tick\", \"hits\": 0, \"ns\": 0, "
+                  "\"maxNs\": 0, \"every\": 32}"),
+              std::string::npos);
 }
 
 TEST(HostProfiler, ChromeTraceEventsAreValidJson)
@@ -312,6 +341,22 @@ TEST(ProfSim, ChipProfilerPerturbsNothingAndRecordsWavefront)
     }
     EXPECT_EQ(waveConfig, 1);
     EXPECT_EQ(wavefront, 2);
+
+    // Core ticks are sampled on the cycles divisible by 16, the same
+    // cycles on every core; the wavefront scopes are exact and hit
+    // once per quantum, far less often than once per cycle.
+    const int t0 = scopeIdOf(prof, "c0.tick");
+    const int t1 = scopeIdOf(prof, "c1.tick");
+    ASSERT_GE(t0, 0);
+    ASSERT_GE(t1, 0);
+    EXPECT_EQ(prof.scopeEvery(t0), 16u);
+    EXPECT_EQ(prof.scopeHits(t0), b.cycles / 16);
+    EXPECT_EQ(prof.scopeHits(t1), prof.scopeHits(t0));
+    const int await = scopeIdOf(prof, "wave.main.await");
+    ASSERT_GE(await, 0);
+    EXPECT_EQ(prof.scopeEvery(await), 1u);
+    EXPECT_GT(prof.scopeHits(await), 0u);
+    EXPECT_LT(prof.scopeHits(await) * 4, b.cycles);
 }
 
 // ---------------------------------------------------------------
@@ -369,6 +414,75 @@ TEST(ProfReport, AggregatesSidecars)
     EXPECT_NE(out.find("computes 3"), std::string::npos);
     // The report itself repeats the determinism disclaimer.
     EXPECT_NE(out.find("nondeterministic"), std::string::npos);
+}
+
+/** The cells of the report row whose first cell is @p name. */
+std::vector<std::string>
+reportRow(const std::string &report, const std::string &name)
+{
+    std::size_t pos = 0;
+    while (pos < report.size()) {
+        std::size_t nl = report.find('\n', pos);
+        if (nl == std::string::npos)
+            nl = report.size();
+        std::vector<std::string> cells;
+        std::size_t i = pos;
+        while (i < nl) {
+            while (i < nl && report[i] == ' ')
+                ++i;
+            const std::size_t start = i;
+            while (i < nl && report[i] != ' ')
+                ++i;
+            if (i > start)
+                cells.push_back(report.substr(start, i - start));
+        }
+        if (!cells.empty() && cells[0] == name)
+            return cells;
+        pos = nl + 1;
+    }
+    return {};
+}
+
+TEST(ProfReport, ScalesSampledScopesToEstimates)
+{
+    char tmpl[] = "/tmp/smtsim-prof-XXXXXX";
+    char *dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    const std::string d(dir);
+
+    // An exact scope timed for 10 ms in total, and a 1-in-64 sampled
+    // one timed for 1 ms: the sampled one stands for ~64 ms of host
+    // time and must rank first, with the shares taken over the
+    // estimates (64 / 74 and 10 / 74).
+    HostProfiler prof(64);
+    const int exact = prof.scope("wave.main.await");
+    const int sampled = prof.scope("c0.tick", /*sampled=*/true);
+    prof.add(exact, 0, 10'000'000);
+    prof.add(sampled, 0, 1'000'000);
+    ASSERT_TRUE(writeHostProfile(prof, d + "/p.job0", "job0"));
+
+    ProfReportOptions opts;
+    std::string out, err;
+    ASSERT_TRUE(renderProfReport({d + "/p.job0.prof.ndjson"}, opts,
+                                 out, err))
+        << err;
+    EXPECT_NE(out.find("est_ms"), std::string::npos) << out;
+    EXPECT_LT(out.find("c0.tick"), out.find("wave.main.await")) << out;
+
+    // scope, every, hits, timed_ms, est_ms, mean_us, max_us, share
+    const std::vector<std::string> tick = reportRow(out, "c0.tick");
+    ASSERT_EQ(tick.size(), 8u) << out;
+    EXPECT_EQ(tick[1], "64");
+    EXPECT_EQ(tick[3], "1.000");
+    EXPECT_EQ(tick[4], "64.000");
+    EXPECT_EQ(tick[7], "86.5");
+    const std::vector<std::string> wait =
+        reportRow(out, "wave.main.await");
+    ASSERT_EQ(wait.size(), 8u) << out;
+    EXPECT_EQ(wait[1], "1");
+    EXPECT_EQ(wait[3], "10.000");
+    EXPECT_EQ(wait[4], "10.000");
+    EXPECT_EQ(wait[7], "13.5");
 }
 
 TEST(ProfReport, RejectsWrongSchemaAndMissingFiles)

@@ -6,8 +6,10 @@
  * bus/MSHR arbitration, the drain-squash-migrate handoff (invariant
  * audits under forced migrations), the 1-core-equals-single-core
  * golden equality, a checked-in 2-core golden (per-core
- * commit-stream hashes), and sweep-level determinism across --jobs
- * values.
+ * commit-stream hashes and slow-phase histogram), the lookahead
+ * quanta of the parallel tick (every horizon cap, and long runs equal
+ * to one-cycle quanta at every --chip-jobs value), and sweep-level
+ * determinism across --jobs values.
  *
  * Regenerating the 2-core golden after an intentional change:
  *
@@ -34,6 +36,7 @@
 #include "sim/simulator.hh"
 #include "soc/allocator.hh"
 #include "soc/chip.hh"
+#include "telemetry/telemetry.hh"
 
 namespace {
 
@@ -547,13 +550,17 @@ struct TwoCoreGoldenRow
     Cycle cycles;
     std::uint64_t migrations;
     std::uint64_t coreHash[2];
+    /** Cycles with n slow threads, n = 0..4: the main thread's
+     *  per-cycle sampling across both migrations. */
+    std::uint64_t slowCycles[5];
 };
 
 /** Regenerate with SMT_PRINT_GOLDEN=1 (see file header). */
 TwoCoreGoldenRow
 twoCoreGolden()
 {
-    return {2039, 2, {0x3a1bcefa6e4e6731ull, 0xc7229c6a4d259259ull}};
+    return {2039, 2, {0x3a1bcefa6e4e6731ull, 0xc7229c6a4d259259ull},
+            {28, 139, 573, 863, 436}};
 }
 
 SimResult
@@ -573,6 +580,9 @@ TEST(TwoCoreChip, MatchesCheckedInGolden)
     ASSERT_EQ(r.coreCommitHashes.size(), 2u);
     EXPECT_EQ(r.coreCommitHashes[0], want.coreHash[0]);
     EXPECT_EQ(r.coreCommitHashes[1], want.coreHash[1]);
+    ASSERT_EQ(r.slowPhaseCycles.size(), 5u);
+    for (std::size_t n = 0; n < 5; ++n)
+        EXPECT_EQ(r.slowPhaseCycles[n], want.slowCycles[n]) << n;
 }
 
 TEST(TwoCoreChip, BitDeterministicAcrossRuns)
@@ -595,13 +605,18 @@ TEST(TwoCoreChip, PrintCurrent)
     }
     const SimResult r = runTwoCore();
     std::printf("    return {%llu, %llu, {0x%016llxull, "
-                "0x%016llxull}};\n",
+                "0x%016llxull},\n            {",
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.migrations),
                 static_cast<unsigned long long>(
                     r.coreCommitHashes[0]),
                 static_cast<unsigned long long>(
                     r.coreCommitHashes[1]));
+    for (std::size_t n = 0; n < r.slowPhaseCycles.size(); ++n)
+        std::printf("%s%llu", n ? ", " : "",
+                    static_cast<unsigned long long>(
+                        r.slowPhaseCycles[n]));
+    std::printf("}};\n");
 }
 
 // ---------------------------------------------------------------
@@ -843,22 +858,156 @@ TEST(ParallelChip, FourCoreEightThreadsByteIdentical)
 TEST(ParallelChip, WarmupAndAuditsUnderParallelTick)
 {
     // Warmup reset, forced migrations and periodic invariant audits
-    // all run on the main thread between parallel cycles; none may
-    // perturb the contract.
-    SimConfig base = twoCoreConfig();
-    base.soc.epochCycles = 400;
-    auto runWith = [&base](int jobs) {
-        SimConfig cfg = base;
+    // all run on the main thread between quanta; none may perturb
+    // the contract. Audits every 300 cycles against 400-cycle epochs
+    // interleave the quantum caps, warmup has its own commit horizon,
+    // and a telemetry hub (one-cycle quanta) is the per-cycle
+    // reference.
+    auto runWith = [](int jobs, bool perCycle) {
+        SimConfig cfg = twoCoreConfig();
+        cfg.soc.epochCycles = 400;
         cfg.soc.chipJobs = jobs;
         ChipSimulator chip(cfg, twoCoreBenches(), PolicyKind::Dcra,
                            std::make_unique<AlternateAllocator>());
-        chip.setAuditInterval(400);
-        return chip.run(2000, 1'000'000, 500);
+        TelemetryHub hub(0);
+        if (perCycle)
+            chip.setTelemetry(&hub);
+        chip.setAuditInterval(300);
+        return chip.run(3000, 1'000'000, 800);
     };
-    const SimResult serial = runWith(1);
-    const SimResult parallel = runWith(2);
-    expectSameChipResult(serial, parallel, "warmup+audit");
-    EXPECT_GT(parallel.migrations, 0u);
+    const SimResult serial = runWith(1, false);
+    EXPECT_GT(serial.migrations, 0u);
+    expectSameChipResult(serial, runWith(1, true),
+                         "warmup+audit vs per-cycle");
+    expectSameChipResult(serial, runWith(2, false),
+                         "warmup+audit jobs=2");
+}
+
+// ---------------------------------------------------------------
+// lookahead quanta
+// ---------------------------------------------------------------
+
+TEST(QuantumHorizon, EachCapBinds)
+{
+    QuantumBounds b;
+    b.now = 1000;
+    b.commitLimit = 10'000;
+    b.maxCommitted = 9'000;
+    b.commitWidth = 8;
+    b.maxCycles = 1'000'000;
+
+    // Commit bound: ceil(left / width) cycles.
+    EXPECT_EQ(quantumLength(b), 125u);
+    b.maxCommitted = 9'001; // 999 left
+    EXPECT_EQ(quantumLength(b), 125u);
+    b.maxCommitted = 9'992; // one cycle could reach the limit
+    EXPECT_EQ(quantumLength(b), 1u);
+    b.maxCommitted = 10'000; // at the limit
+    EXPECT_EQ(quantumLength(b), 1u);
+
+    // A far limit is capped by the record ring...
+    b.maxCommitted = 0;
+    b.commitLimit = 1'000'000'000;
+    EXPECT_EQ(quantumLength(b), quantumRing);
+    // ...and by the cycle cap.
+    b.maxCycles = 1100;
+    EXPECT_EQ(quantumLength(b), 100u);
+    b.maxCycles = 1'000'000;
+
+    // The next epoch; an overdue one (a drain delayed it) is next.
+    b.epochAt = 1700;
+    EXPECT_EQ(quantumLength(b), 700u);
+    b.epochAt = 1000;
+    EXPECT_EQ(quantumLength(b), 1u);
+    b.epochAt = 0;
+
+    // The next multiple of the audit period.
+    b.auditPeriod = 300;
+    EXPECT_EQ(quantumLength(b), 200u);
+    b.now = 1200;
+    EXPECT_EQ(quantumLength(b), 300u);
+    b.auditPeriod = 0;
+
+    // Draining and telemetry pin the quantum to one cycle.
+    b.draining = true;
+    EXPECT_EQ(quantumLength(b), 1u);
+    b.draining = false;
+    b.telemetry = true;
+    EXPECT_EQ(quantumLength(b), 1u);
+}
+
+SimConfig
+fourCoreQuantumConfig()
+{
+    SimConfig cfg;
+    cfg.soc.numCores = 4;
+    cfg.soc.contextsPerCore = 2;
+    cfg.soc.epochCycles = 5000;
+    cfg.soc.drainTimeout = 400;
+    cfg.soc.llcArbiter = "chip-dcra";
+    return cfg;
+}
+
+const std::vector<std::string> &
+eightBenches()
+{
+    static const std::vector<std::string> b = {
+        "gzip", "mcf", "art", "crafty", "twolf", "bzip2", "equake",
+        "vpr"};
+    return b;
+}
+
+/** One 4C8T run; a telemetry hub pins every quantum to one cycle,
+ *  which makes it the per-cycle reference loop. */
+SimResult
+runFourCore(int jobs, std::uint64_t commits, Cycle maxCycles,
+            bool perCycle = false, Cycle *longest = nullptr)
+{
+    SimConfig cfg = fourCoreQuantumConfig();
+    cfg.soc.chipJobs = jobs;
+    ChipSimulator chip(cfg, eightBenches(), PolicyKind::Dcra,
+                       std::make_unique<AlternateAllocator>());
+    TelemetryHub hub(0);
+    if (perCycle)
+        chip.setTelemetry(&hub);
+    SimResult r = chip.run(commits, maxCycles);
+    if (longest)
+        *longest = chip.longestQuantum();
+    return r;
+}
+
+TEST(Quanta, LongRunByteIdenticalAtEveryWorkerCount)
+{
+    // Long enough for quanta beyond a thousand cycles, with epochs
+    // and migrations (and their one-cycle drain quanta) inside.
+    Cycle longest = 0;
+    const SimResult serial =
+        runFourCore(1, 40'000, 50'000'000, false, &longest);
+    EXPECT_GT(longest, 1000u);
+    EXPECT_GT(serial.migrations, 0u);
+    EXPECT_GT(serial.allocEpochs, 1u);
+    expectSameChipResult(serial,
+                         runFourCore(1, 40'000, 50'000'000, true),
+                         "quanta vs per-cycle");
+    for (const int jobs : {2, 3, 4}) {
+        const std::string what = "4C8T jobs=" + std::to_string(jobs);
+        expectSameChipResult(serial,
+                             runFourCore(jobs, 40'000, 50'000'000),
+                             what.c_str());
+    }
+}
+
+TEST(Quanta, CycleCapInsideAHorizon)
+{
+    // The commit limit is out of reach, so the commit horizon spans
+    // the cap: the quantum must stop exactly on it.
+    const Cycle cap = 3333;
+    const SimResult serial = runFourCore(1, 1'000'000, cap);
+    EXPECT_EQ(serial.cycles, cap);
+    expectSameChipResult(serial, runFourCore(1, 1'000'000, cap, true),
+                         "cap vs per-cycle");
+    expectSameChipResult(serial, runFourCore(2, 1'000'000, cap),
+                         "cap jobs=2");
 }
 
 // ---------------------------------------------------------------

@@ -314,23 +314,41 @@ TEST(TelemetrySim, ChipHubPerturbsNothing)
 
 TEST(TelemetrySim, ChipTelemetryByteIdenticalAcrossWorkers)
 {
-    auto capture = [](int chipJobs) {
+    // A hub pins the chip's quanta to one cycle: its main-thread
+    // events and the LLC-stream events share one ordered vector.
+    // Every worker count must render the same bytes, including two
+    // cores per worker on the 4-core chip.
+    auto capture = [](int cores, int chipJobs) {
+        SimConfig cfg = telemetryChipConfig(chipJobs);
+        cfg.soc.numCores = cores;
+        std::vector<std::string> benches = chipBenches();
+        if (cores == 4)
+            benches.insert(benches.end(),
+                           {"twolf", "bzip2", "equake", "vpr"});
         TelemetryHub hub(500);
-        ChipSimulator chip(telemetryChipConfig(chipJobs),
-                           chipBenches(), PolicyKind::Dcra);
+        ChipSimulator chip(cfg, benches, PolicyKind::Dcra);
         chip.setTelemetry(&hub);
-        (void)chip.run(3000, 2'000'000);
+        (void)chip.run(3000, 2'000'000, 500);
         return std::make_pair(hub.renderTimeSeries(),
                               hub.renderChromeTrace());
     };
-    const auto serial = capture(1);
-    const auto parallel = capture(2);
-    EXPECT_EQ(serial.first, parallel.first);
-    EXPECT_EQ(serial.second, parallel.second);
-    // The run is long enough to carry real content in both files.
-    EXPECT_NE(serial.first.find("\"cycle\": "), std::string::npos);
-    EXPECT_NE(serial.second.find("\"ph\": \"i\""),
-              std::string::npos);
+    for (const int cores : {2, 4}) {
+        const auto serial = capture(cores, 1);
+        for (int jobs = 2; jobs <= cores; jobs *= 2) {
+            const auto parallel = capture(cores, jobs);
+            EXPECT_EQ(serial.first, parallel.first)
+                << cores << " cores, jobs=" << jobs;
+            EXPECT_EQ(serial.second, parallel.second)
+                << cores << " cores, jobs=" << jobs;
+        }
+        // The run is long enough to carry real content in both
+        // files, LLC-stream events included.
+        EXPECT_NE(serial.first.find("\"cycle\": "), std::string::npos);
+        EXPECT_NE(serial.second.find("\"phase-slow\""),
+                  std::string::npos);
+        EXPECT_NE(serial.second.find("\"llc-gate\""),
+                  std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -401,17 +402,51 @@ validateLlcWays(int n)
     return true;
 }
 
-/** Parse a comma list of non-negative integers; false on junk. */
+/**
+ * The one parser behind every numeric flag: a non-empty run of
+ * decimal digits whose value fits in @p T. Anything else (empty, a
+ * sign, hex, a unit suffix, trailing garbage, overflow) gets a
+ * one-line error and false, and the caller exits 1.
+ */
+template <typename T>
 bool
-parseU64List(const std::string &s, std::vector<std::uint64_t> &out)
+parseDecimal(const std::string &flag, const std::string &text, T &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos) {
+        std::fprintf(stderr,
+                     "error: %s wants a decimal integer (got '%s')\n",
+                     flag.c_str(), text.c_str());
+        return false;
+    }
+    errno = 0;
+    const unsigned long long v =
+        std::strtoull(text.c_str(), nullptr, 10);
+    const auto max =
+        static_cast<unsigned long long>(std::numeric_limits<T>::max());
+    if (errno == ERANGE || v > max) {
+        std::fprintf(stderr,
+                     "error: %s value '%s' is out of range (max %llu)\n",
+                     flag.c_str(), text.c_str(), max);
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+}
+
+/** Parse a comma list of decimal integers for @p flag; false (with
+ *  the parser's error) on junk or an empty list. */
+bool
+parseU64List(const std::string &flag, const std::string &s,
+             std::vector<std::uint64_t> &out)
 {
     for (const std::string &tok : splitCommas(s)) {
-        if (tok.empty() ||
-            tok.find_first_not_of("0123456789") != std::string::npos)
+        std::uint64_t v = 0;
+        if (!parseDecimal(flag, tok, v))
             return false;
-        out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
+        out.push_back(v);
     }
-    return !out.empty();
+    return true;
 }
 
 /**
@@ -536,7 +571,9 @@ sweepMain(int argc, char **argv)
                                  cell.c_str());
                     return 1;
                 }
-                const int n = std::atoi(cell.c_str() + 3);
+                int n = 0;
+                if (!parseDecimal(arg, cell.substr(3), n))
+                    return 1;
                 const std::vector<Workload> group =
                     workloadsOf(n, ty);
                 if (group.empty()) {
@@ -552,20 +589,20 @@ sweepMain(int argc, char **argv)
             for (const std::string &p : splitCommas(next()))
                 spec.policies.push_back(parsePolicyKind(p));
         } else if (arg == "--mem-latency") {
-            if (!parseU64List(next(), memLats))
-                fatal("bad --mem-latency list");
+            if (!parseU64List(arg, next(), memLats))
+                return 1;
         } else if (arg == "--l2-latency") {
-            if (!parseU64List(next(), l2Lats))
-                fatal("bad --l2-latency list");
+            if (!parseU64List(arg, next(), l2Lats))
+                return 1;
         } else if (arg == "--regs") {
-            if (!parseU64List(next(), regSizes))
-                fatal("bad --regs list");
+            if (!parseU64List(arg, next(), regSizes))
+                return 1;
         } else if (arg == "--iq") {
-            if (!parseU64List(next(), iqSizes))
-                fatal("bad --iq list");
+            if (!parseU64List(arg, next(), iqSizes))
+                return 1;
         } else if (arg == "--cores") {
-            if (!parseU64List(next(), coreCounts))
-                fatal("bad --cores list");
+            if (!parseU64List(arg, next(), coreCounts))
+                return 1;
         } else if (arg == "--allocator") {
             for (const std::string &a : splitCommas(next()))
                 allocKinds.push_back(parseAllocatorKind(a));
@@ -582,16 +619,17 @@ sweepMain(int argc, char **argv)
             }
         } else if (arg == "--llc-ways") {
             std::vector<std::uint64_t> ways;
-            if (!parseU64List(next(), ways))
-                fatal("bad --llc-ways list");
+            if (!parseU64List(arg, next(), ways))
+                return 1;
             for (const std::uint64_t w : ways) {
                 if (!validateLlcWays(static_cast<int>(w)))
                     return 1;
                 llcWaysAxis.push_back(w);
             }
         } else if (arg == "--contexts") {
-            const int n =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            int n = 0;
+            if (!parseDecimal(arg, next(), n))
+                return 1;
             if (n < 1 || n > maxThreads) {
                 std::fprintf(stderr,
                              "error: --contexts wants 1..%d\n",
@@ -600,31 +638,27 @@ sweepMain(int argc, char **argv)
             }
             spec.base.soc.contextsPerCore = n;
         } else if (arg == "--epoch") {
-            spec.base.soc.epochCycles =
-                std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), spec.base.soc.epochCycles))
+                return 1;
         } else if (arg == "--commits") {
-            spec.commits = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), spec.commits))
+                return 1;
         } else if (arg == "--warmup") {
-            spec.warmup = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), spec.warmup))
+                return 1;
         } else if (arg == "--seed") {
-            spec.base.seed = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), spec.base.seed))
+                return 1;
         } else if (arg == "--perfect-dcache") {
             spec.base.mem.perfectDcache = true;
         } else if (arg == "--no-hmean") {
             spec.computeHmean = false;
         } else if (arg == "--chip-jobs") {
-            const int n =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (n < 0) {
-                std::fprintf(stderr,
-                             "error: --chip-jobs wants N >= 0 "
-                             "(0 = one per host thread)\n");
+            if (!parseDecimal(arg, next(), spec.base.soc.chipJobs))
                 return 1;
-            }
-            spec.base.soc.chipJobs = n;
         } else if (arg == "--jobs") {
-            jobs = static_cast<int>(
-                std::strtol(next(), nullptr, 10));
+            if (!parseDecimal(arg, next(), jobs))
+                return 1;
             if (jobs < 1) {
                 std::fprintf(stderr, "error: --jobs wants N >= 1\n");
                 return 1;
@@ -636,15 +670,16 @@ sweepMain(int argc, char **argv)
         } else if (arg == "--prof") {
             spec.prof.prefix = next();
         } else if (arg == "--prof-every") {
-            spec.prof.sampleEvery =
-                std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), spec.prof.sampleEvery))
+                return 1;
             if (spec.prof.sampleEvery < 1) {
                 std::fprintf(stderr,
                              "error: --prof-every wants N >= 1\n");
                 return 1;
             }
         } else if (arg == "--stats-interval") {
-            statsInterval = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), statsInterval))
+                return 1;
             if (statsInterval < 1) {
                 std::fprintf(stderr,
                              "error: --stats-interval wants N >= 1\n");
@@ -661,8 +696,8 @@ sweepMain(int argc, char **argv)
         } else if (arg == "--isolate-jobs") {
             ropts.exec.isolate = true;
         } else if (arg == "--job-timeout") {
-            ropts.exec.timeoutSec =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            if (!parseDecimal(arg, next(), ropts.exec.timeoutSec))
+                return 1;
             if (ropts.exec.timeoutSec < 1) {
                 std::fprintf(stderr,
                              "error: --job-timeout wants N >= 1 "
@@ -670,22 +705,11 @@ sweepMain(int argc, char **argv)
                 return 1;
             }
         } else if (arg == "--job-retries") {
-            ropts.exec.retries =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (ropts.exec.retries < 0) {
-                std::fprintf(stderr,
-                             "error: --job-retries wants N >= 0\n");
+            if (!parseDecimal(arg, next(), ropts.exec.retries))
                 return 1;
-            }
         } else if (arg == "--job-backoff") {
-            ropts.exec.backoffMs =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (ropts.exec.backoffMs < 0) {
-                std::fprintf(stderr,
-                             "error: --job-backoff wants N >= 0 "
-                             "milliseconds\n");
+            if (!parseDecimal(arg, next(), ropts.exec.backoffMs))
                 return 1;
-            }
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -895,8 +919,8 @@ profReportMain(int argc, char **argv)
         if (arg == "--top") {
             if (i + 1 >= argc)
                 fatal("missing value for --top");
-            opts.topScopes = static_cast<int>(
-                std::strtol(argv[++i], nullptr, 10));
+            if (!parseDecimal(arg, argv[++i], opts.topScopes))
+                return 1;
             if (opts.topScopes < 1) {
                 std::fprintf(stderr,
                              "error: --top wants N >= 1\n");
@@ -965,35 +989,41 @@ main(int argc, char **argv)
         } else if (arg == "--policy") {
             policy = parsePolicyKind(next());
         } else if (arg == "--commits") {
-            commits = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), commits))
+                return 1;
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), warmup))
+                return 1;
         } else if (arg == "--mem-latency") {
-            cfg.mem.memLatency = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), cfg.mem.memLatency))
+                return 1;
         } else if (arg == "--l2-latency") {
-            cfg.mem.l2Latency = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), cfg.mem.l2Latency))
+                return 1;
         } else if (arg == "--regs") {
-            cfg.core.physRegsPerFile =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            if (!parseDecimal(arg, next(), cfg.core.physRegsPerFile))
+                return 1;
         } else if (arg == "--iq") {
-            const int n =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            int n = 0;
+            if (!parseDecimal(arg, next(), n))
+                return 1;
             for (int q = 0; q < numQueueClasses; ++q)
                 cfg.core.iqSize[q] = n;
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), cfg.seed))
+                return 1;
         } else if (arg == "--perfect-dcache") {
             cfg.mem.perfectDcache = true;
         } else if (arg == "--cores") {
-            cfg.soc.numCores =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            if (!parseDecimal(arg, next(), cfg.soc.numCores))
+                return 1;
             if (cfg.soc.numCores < 1) {
                 std::fprintf(stderr, "error: --cores wants N >= 1\n");
                 return 1;
             }
         } else if (arg == "--contexts") {
-            cfg.soc.contextsPerCore =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            if (!parseDecimal(arg, next(), cfg.soc.contextsPerCore))
+                return 1;
             if (cfg.soc.contextsPerCore < 1 ||
                 cfg.soc.contextsPerCore > maxThreads) {
                 std::fprintf(stderr,
@@ -1004,8 +1034,8 @@ main(int argc, char **argv)
         } else if (arg == "--allocator") {
             cfg.soc.allocator = parseAllocatorKind(next());
         } else if (arg == "--epoch") {
-            cfg.soc.epochCycles =
-                std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), cfg.soc.epochCycles))
+                return 1;
         } else if (arg == "--llc-arbiter") {
             cfg.soc.llcArbiter = next();
             if (!isLlcArbiterName(cfg.soc.llcArbiter)) {
@@ -1016,19 +1046,13 @@ main(int argc, char **argv)
                 return 1;
             }
         } else if (arg == "--llc-ways") {
-            cfg.soc.llcWays =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
+            if (!parseDecimal(arg, next(), cfg.soc.llcWays))
+                return 1;
             if (!validateLlcWays(cfg.soc.llcWays))
                 return 1;
         } else if (arg == "--chip-jobs") {
-            cfg.soc.chipJobs =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (cfg.soc.chipJobs < 0) {
-                std::fprintf(stderr,
-                             "error: --chip-jobs wants N >= 0 "
-                             "(0 = one per host thread)\n");
+            if (!parseDecimal(arg, next(), cfg.soc.chipJobs))
                 return 1;
-            }
         } else if (arg == "--trace-out") {
             traceOut = next();
         } else if (arg == "--ts-out") {
@@ -1036,14 +1060,16 @@ main(int argc, char **argv)
         } else if (arg == "--prof") {
             profOut = next();
         } else if (arg == "--prof-every") {
-            profEvery = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), profEvery))
+                return 1;
             if (profEvery < 1) {
                 std::fprintf(stderr,
                              "error: --prof-every wants N >= 1\n");
                 return 1;
             }
         } else if (arg == "--stats-interval") {
-            statsInterval = std::strtoull(next(), nullptr, 10);
+            if (!parseDecimal(arg, next(), statsInterval))
+                return 1;
             if (statsInterval < 1) {
                 std::fprintf(stderr,
                              "error: --stats-interval wants N >= 1\n");
