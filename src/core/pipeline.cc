@@ -309,21 +309,26 @@ Pipeline::tick()
         rrQueue = 0;
     pstats.cycles = cycle - statsStartCycle;
 
+    // One stage sequence, profiled or not: on the sampled tick each
+    // stage's ProfScope times it, on every other tick the scopes get
+    // a null profiler and do nothing.
+    HostProfiler *timer = nullptr;
     if (hprof && ++hprofTick >= hprofEvery) {
         hprofTick = 0;
-        tickStagesProfiled();
-        return;
+        timer = hprof;
     }
-
-    mem.tick(cycle);
-    policy.beginCycle(cycle);
-
-    commitStage();
-    writebackStage();
-    issueStage();
-    processFlushRequests();
-    renameStage();
-    fetchStage();
+    const auto stage = [&](int s, auto &&run) {
+        ProfScope hps(timer, hsStage[s]);
+        run();
+    };
+    stage(HsMem, [this] { mem.tick(cycle); });
+    stage(HsPolicy, [this] { policy.beginCycle(cycle); });
+    stage(HsCommit, [this] { commitStage(); });
+    stage(HsWriteback, [this] { writebackStage(); });
+    stage(HsIssue, [this] { issueStage(); });
+    stage(HsFlush, [this] { processFlushRequests(); });
+    stage(HsRename, [this] { renameStage(); });
+    stage(HsFetch, [this] { fetchStage(); });
 }
 
 void
@@ -343,27 +348,6 @@ Pipeline::setHostProfiler(HostProfiler *prof,
         "stage.rename", "stage.fetch"};
     for (int i = 0; i < HsStageCount; ++i)
         hsStage[i] = prof->scope(prefix + names[i], /*sampled=*/true);
-}
-
-void
-Pipeline::tickStagesProfiled()
-{
-    // The same stage sequence as tick()'s tail, each stage timed.
-    // Kept as a separate body so the unprofiled path stays branch-
-    // free past the single hprof test.
-    auto timed = [this](int s, auto &&fn) {
-        const std::uint64_t t0 = hprof->nowNs();
-        fn();
-        hprof->add(hsStage[s], t0, hprof->nowNs());
-    };
-    timed(HsMem, [this] { mem.tick(cycle); });
-    timed(HsPolicy, [this] { policy.beginCycle(cycle); });
-    timed(HsCommit, [this] { commitStage(); });
-    timed(HsWriteback, [this] { writebackStage(); });
-    timed(HsIssue, [this] { issueStage(); });
-    timed(HsFlush, [this] { processFlushRequests(); });
-    timed(HsRename, [this] { renameStage(); });
-    timed(HsFetch, [this] { fetchStage(); });
 }
 
 // ---------------------------------------------------------------

@@ -298,9 +298,6 @@ class Pipeline
         ThreadID t;
     };
 
-    /** tick()'s stage sequence with each stage host-timed. */
-    void tickStagesProfiled();
-
     void commitStage();
     void writebackStage();
     void issueStage();

@@ -93,13 +93,6 @@ HostProfiler::scopeMaxNs(int id) const
 }
 
 std::size_t
-HostProfiler::recordCount() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return records.size();
-}
-
-std::size_t
 HostProfiler::spanCount() const
 {
     std::lock_guard<std::mutex> lock(mu);

@@ -95,7 +95,6 @@ class HostProfiler
     std::uint64_t scopeHits(int id) const;
     std::uint64_t scopeNs(int id) const;
     std::uint64_t scopeMaxNs(int id) const;
-    std::size_t recordCount() const;
     std::size_t spanCount() const;
     std::uint64_t droppedSpanCount() const;
     /** @} */

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -153,25 +154,30 @@ runJobInProcess(const SweepSpec &spec, const SweepJob &job,
             sim.setHostProfiler(hprof.get());
         s.raw = sim.run(spec.commits, spec.maxCycles, spec.warmup);
     }
+    // A sidecar the job could not write fails the job (the writers
+    // have said which file): it is not journaled, so --resume runs
+    // it again.
     if (hprof) {
         hprof->record("{\"type\": \"run\", \"wallNs\": " +
                       fmtU64(hprof->nowNs() - runT0) + "}");
-        writeHostProfile(*hprof,
-                         profFileBase(spec.prof.prefix, job.index),
-                         "job" + std::to_string(job.index));
+        if (!writeHostProfile(*hprof,
+                              profFileBase(spec.prof.prefix, job.index),
+                              "job" + std::to_string(job.index)))
+            throw std::runtime_error("host profile write failed");
     }
     if (hub) {
         const std::string &tsPrefix = spec.telemetry.tsOutPrefix();
-        writeTelemetryFiles(
-            *hub,
-            tsPrefix.empty()
-                ? std::string()
-                : telemetryFileBase(tsPrefix, job.index),
-            spec.telemetry.traceEnabled()
-                ? telemetryFileBase(spec.telemetry.tracePrefix,
-                                    job.index)
-                : std::string(),
-            hprof ? hprof->chromeTraceEvents() : std::string());
+        if (!writeTelemetryFiles(
+                *hub,
+                tsPrefix.empty()
+                    ? std::string()
+                    : telemetryFileBase(tsPrefix, job.index),
+                spec.telemetry.traceEnabled()
+                    ? telemetryFileBase(spec.telemetry.tracePrefix,
+                                        job.index)
+                    : std::string(),
+                hprof ? hprof->chromeTraceEvents() : std::string()))
+            throw std::runtime_error("telemetry write failed");
     }
     for (std::size_t t = 0; t < job.workload.benches.size(); ++t) {
         s.multiIpc.push_back(s.raw.threads[t].ipc);

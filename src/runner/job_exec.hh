@@ -95,7 +95,9 @@ struct ExecOutcome
 /**
  * The plain run path: simulate the job (chip or single-core),
  * telemetry and Hmean baselines included. This is what the runner
- * always executed; isolation forks around it.
+ * always executed; isolation forks around it. Throws
+ * std::runtime_error when a telemetry or host-profile sidecar cannot
+ * be written, so executeJob fails the job.
  */
 RunSummary runJobInProcess(const SweepSpec &spec, const SweepJob &job,
                            BaselineCache &cache);

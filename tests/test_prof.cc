@@ -275,12 +275,18 @@ TEST(ProfSim, AttachingAProfilerPerturbsNothing)
         EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
         EXPECT_DOUBLE_EQ(a.threads[t].ipc, b.threads[t].ipc);
     }
-    // The profiler actually measured the pipeline stages.
-    EXPECT_GT(prof.scopeCount(), 0u);
-    std::uint64_t hits = 0;
-    for (std::size_t s = 0; s < prof.scopeCount(); ++s)
-        hits += prof.scopeHits(static_cast<int>(s));
-    EXPECT_GT(hits, 0u);
+    // The profiler timed every pipeline stage on exactly the sampled
+    // ticks: 1 in 16 of them.
+    int stages = 0;
+    for (std::size_t s = 0; s < prof.scopeCount(); ++s) {
+        const int id = static_cast<int>(s);
+        if (prof.scopeName(id).rfind("stage.", 0) != 0)
+            continue;
+        ++stages;
+        EXPECT_EQ(prof.scopeHits(id), b.cycles / 16)
+            << prof.scopeName(id);
+    }
+    EXPECT_EQ(stages, 8);
 }
 
 SimConfig

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include <csignal>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -811,6 +812,54 @@ TEST(SweepIsolation, ExhaustedRetriesLandInFailures)
     EXPECT_EQ(csv.find('\n'), csv.size() - 1);
 }
 
+TEST(SweepRunner, FailedSidecarWriteFailsTheJob)
+{
+    // A directory squats on job 1's time-series path, so that write
+    // fails: the job must fail with it, stay out of the journal, and
+    // run again under --resume once the path is free.
+    char tmpl[] = "/tmp/smtsim-sidecar-XXXXXX";
+    char *dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    const std::string d = dir;
+    const std::string squat = d + "/t.job1.ts.ndjson";
+    ASSERT_EQ(mkdir(squat.c_str(), 0700), 0);
+
+    SweepSpec spec = tinySpec();
+    spec.telemetry.tsPrefix = d + "/t";
+    spec.telemetry.statsInterval = 500;
+    RunnerOptions opts;
+    opts.journalPath = d + "/sweep.journal";
+    SweepRunner first(spec, 2, nullptr, opts);
+    const SweepResults res = first.run();
+    ASSERT_EQ(res.failures.size(), 1u);
+    EXPECT_EQ(res.failures[0].index, 1u);
+    EXPECT_EQ(res.failures[0].cause, "exception");
+    for (const JobResult &r : res.results)
+        EXPECT_EQ(r.failed, r.job.index == 1) << r.job.index;
+
+    JournalReplay replay;
+    bool exists = false;
+    std::string err;
+    ASSERT_TRUE(readJournal(opts.journalPath, replay, exists, err))
+        << err;
+    EXPECT_EQ(replay.summaries.size(), spec.jobCount() - 1);
+    EXPECT_EQ(replay.summaries.count(1), 0u);
+
+    ASSERT_EQ(rmdir(squat.c_str()), 0);
+    opts.resume = true;
+    SweepRunner resumed(spec, 2, nullptr, opts);
+    EXPECT_TRUE(resumed.run().failures.empty());
+    struct stat st;
+    EXPECT_EQ(stat(squat.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISREG(st.st_mode));
+
+    for (std::size_t i = 0; i < spec.jobCount(); ++i)
+        std::remove((d + "/t.job" + std::to_string(i) + ".ts.ndjson")
+                        .c_str());
+    std::remove(opts.journalPath.c_str());
+    rmdir(dir);
+}
+
 TEST(BaselineCache, ConcurrentFailureEvictsBeforeWaking)
 {
     // One failing compute with many concurrent waiters: every thread
@@ -869,7 +918,7 @@ TEST(ResultSink, CsvQuotesConfigLabelsWithCommas)
     spec.policies = {PolicyKind::Icount};
     spec.computeHmean = false;
     ConfigOverride o;
-    o.label = "mem=100,l2=20"; // what sweepMain builds for 2 axes
+    o.label = "mem=100,l2=20"; // what smtsim sweep builds for 2 axes
     o.memLatency = 100;
     o.l2Latency = 20;
     spec.configs = {o};

@@ -2,15 +2,20 @@
  * @file
  * smtsim: command-line driver for the simulator.
  *
- * Two modes:
+ * One front end, two modes:
  *
  *  - single run (default): one workload under one policy with the
  *    paper's baseline configuration (overridable); prints a full
  *    per-thread report, or the sweep JSON schema with --json.
  *  - `smtsim sweep`: a declarative grid of workloads x policies x
- *    config overrides executed in parallel across host cores by the
- *    runner subsystem (src/runner/), emitted as a table, CSV or
- *    JSON. Parallel output is bit-identical to --jobs 1.
+ *    config overrides executed in parallel across host cores,
+ *    emitted as a table, CSV or JSON. Parallel output is
+ *    bit-identical to --jobs 1.
+ *
+ * Both modes parse one flag table into one SweepSpec and run it on
+ * the runner subsystem (src/runner/): a single run is the one-job
+ * sweep "cli-run". The grid flags (--cores ... --iq) take one value
+ * in a single run and comma lists in a sweep.
  *
  * Examples:
  *   smtsim --workload gzip,mcf --policy DCRA
@@ -31,8 +36,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +49,6 @@
 
 #include "alloc/chip_arbiters.hh"
 #include "common/bits.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "prof/host_profiler.hh"
 #include "prof/prof_report.hh"
@@ -55,152 +63,6 @@
 namespace {
 
 using namespace smt;
-
-void
-usage()
-{
-    std::printf(
-        "usage: smtsim [options]\n"
-        "       smtsim sweep [sweep options]\n"
-        "       smtsim prof-report [--top N] FILE.prof.ndjson...\n"
-        "\n"
-        "single-run options:\n"
-        "  --workload a,b,c     comma-separated benchmarks (1-%d)\n"
-        "  --policy NAME        ROUND-ROBIN ICOUNT STALL FLUSH\n"
-        "                       FLUSH++ DG PDG SRA DCRA DCRA-DEG\n"
-        "  --commits N          first-thread commit budget\n"
-        "  --warmup N           warmup commits before measuring\n"
-        "  --mem-latency N      main memory latency (cycles)\n"
-        "  --l2-latency N       L2 access latency (cycles)\n"
-        "  --regs N             physical registers per file\n"
-        "  --iq N               entries per issue queue\n"
-        "  --seed N             workload generation seed\n"
-        "  --perfect-dcache     all data accesses hit L1\n"
-        "  --cores N            SMT cores on the chip (default 1 =\n"
-        "                       the paper's single-core machine)\n"
-        "  --contexts N         hardware contexts per core in\n"
-        "                       multi-core mode (default 4)\n"
-        "  --allocator NAME     thread-to-core allocator:\n"
-        "                       round-robin symbiosis synpa\n"
-        "  --epoch N            cycles between reallocations\n"
-        "                       (0 disables; default 20000)\n"
-        "  --llc-arbiter NAME   chip-level LLC arbiter (multi-core):\n"
-        "                       static chip-dcra way-equal way-util\n"
-        "  --llc-ways N         LLC associativity (pow2, <= 32) for\n"
-        "                       way-partitioning experiments\n"
-        "  --chip-jobs N        host threads ticking the chip's\n"
-        "                       cores (1 = serial, 0 = one per host\n"
-        "                       thread); results are byte-identical\n"
-        "                       for every value\n"
-        "  --trace-out PREFIX   record telemetry, writing\n"
-        "                       PREFIX.job0.ts.ndjson (time series)\n"
-        "                       and PREFIX.job0.trace.json (Chrome\n"
-        "                       trace, loadable in Perfetto)\n"
-        "  --ts-out PREFIX      record the time series alone:\n"
-        "                       PREFIX.job0.ts.ndjson, no event\n"
-        "                       trace file\n"
-        "  --stats-interval N   cycles between telemetry samples\n"
-        "                       (default 10000; needs --trace-out\n"
-        "                       or --ts-out)\n"
-        "  --prof PREFIX        host wall-clock profiling: sampled\n"
-        "                       stage/component attribution written\n"
-        "                       to PREFIX.job0.prof.ndjson (host\n"
-        "                       data, nondeterministic; simulation\n"
-        "                       results stay byte-identical). With\n"
-        "                       --trace-out, host spans are merged\n"
-        "                       into the Perfetto trace\n"
-        "  --prof-every N       host-time 1 in N ticks (default 64)\n"
-        "  --json               emit the sweep JSON schema instead\n"
-        "                       of the human report\n"
-        "  --list-benchmarks    show available benchmarks\n"
-        "  --list-workloads     show the paper's Table 4 workloads\n"
-        "  --list-policies      show registered fetch/alloc policies\n"
-        "  --list-arbiters      show registered LLC arbiters\n"
-        "  --selftest           10k-cycle 2-thread DCRA smoke run\n"
-        "                       plus a 2-core chip smoke; exits\n"
-        "                       nonzero on NaN/zero IPC or\n"
-        "                       nondeterminism\n"
-        "\n"
-        "sweep options (grid = workloads x policies x configs):\n"
-        "  --benches a+b,c+d    ad-hoc workloads ('+' joins the\n"
-        "                       threads of one workload)\n"
-        "  --workloads id,...   paper Table 4 workload ids\n"
-        "                       (e.g. MEM2.g1; see --list-workloads)\n"
-        "  --cells MEM2,ILP4    all four groups of a workload cell\n"
-        "  --policies A,B       policies to sweep (default\n"
-        "                       ICOUNT,DCRA)\n"
-        "  --mem-latency a,b    memory-latency axis (cycles)\n"
-        "  --l2-latency a,b     L2-latency axis (cycles)\n"
-        "  --regs a,b           register-file-size axis\n"
-        "  --iq a,b             issue-queue-size axis\n"
-        "  --cores a,b          chip-size axis (cores > 1 run on\n"
-        "                       the CMP layer)\n"
-        "  --allocator a,b      thread-to-core allocator axis\n"
-        "  --llc-arbiter a,b    LLC-arbiter axis (multi-core)\n"
-        "  --llc-ways a,b       LLC-associativity axis (multi-core)\n"
-        "  --chip-jobs N        host threads per multi-core chip\n"
-        "                       (byte-identical for every value)\n"
-        "  --contexts N         contexts per core (multi-core)\n"
-        "  --epoch N            reallocation epoch in cycles\n"
-        "  --commits N          per-run commit budget (default\n"
-        "                       60000)\n"
-        "  --warmup N           warmup commits (default 10000)\n"
-        "  --seed N             workload generation seed\n"
-        "  --perfect-dcache     all data accesses hit L1\n"
-        "  --no-hmean           skip single-thread baselines\n"
-        "  --jobs N             worker threads (default: all host\n"
-        "                       cores); results are identical for\n"
-        "                       every N\n"
-        "  --trace-out PREFIX   per-job telemetry sidecar files\n"
-        "                       (PREFIX.job<i>.ts.ndjson and\n"
-        "                       PREFIX.job<i>.trace.json, named by\n"
-        "                       the deterministic job order); bumps\n"
-        "                       the JSON schema to smtsim-sweep-v2\n"
-        "  --ts-out PREFIX      per-job time series alone (no event\n"
-        "                       trace files); also schema v2\n"
-        "  --stats-interval N   cycles between telemetry samples\n"
-        "                       (default 10000; needs --trace-out\n"
-        "                       or --ts-out)\n"
-        "  --prof PREFIX        host wall-clock profiling sidecars:\n"
-        "                       PREFIX.job<i>.prof.ndjson per job\n"
-        "                       plus PREFIX.runner.prof.ndjson\n"
-        "                       (job wall/queue times, baseline-\n"
-        "                       cache contention); deterministic\n"
-        "                       outputs are unchanged\n"
-        "  --prof-every N       host-time 1 in N ticks (default 64)\n"
-        "  --format F           table | csv | json (default table)\n"
-        "  --output FILE        write to FILE instead of stdout\n"
-        "\n"
-        "prof-report: aggregate one or more .prof.ndjson sidecars\n"
-        "(from --prof) into a table: top host-time scopes, wavefront\n"
-        "gate waits and per-worker utilization, job wall-time\n"
-        "percentiles, baseline-cache contention. --top N limits the\n"
-        "scope table (default 20).\n"
-        "\n"
-        "sweep fault tolerance (see README 'Fault tolerance'):\n"
-        "  --journal FILE       append one durable NDJSON record per\n"
-        "                       completed job (fsync'd); a fresh\n"
-        "                       sweep truncates FILE first\n"
-        "  --resume             replay completed jobs from --journal\n"
-        "                       and run only the rest; merged output\n"
-        "                       is byte-identical to an\n"
-        "                       uninterrupted run\n"
-        "  --isolate-jobs       fork each job into a child process\n"
-        "                       so a crash loses one job, not the\n"
-        "                       sweep\n"
-        "  --job-timeout SEC    kill an isolated job after SEC\n"
-        "                       seconds (needs --isolate-jobs)\n"
-        "  --job-retries N      re-run a failed job up to N extra\n"
-        "                       times with deterministic backoff\n"
-        "  --job-backoff MS     base retry backoff in milliseconds\n"
-        "                       (attempt k waits MS << (k-1);\n"
-        "                       default 50)\n"
-        "\n"
-        "sweep exit codes: 0 success, 1 usage/config error, 3 sweep\n"
-        "completed but jobs failed (see the JSON failures block),\n"
-        "130 interrupted by SIGINT/SIGTERM (journal stays resumable)\n",
-        maxThreads);
-}
 
 /**
  * Smoke mode wired into CTest: run a short 2-thread DCRA simulation
@@ -434,21 +296,6 @@ parseDecimal(const std::string &flag, const std::string &text, T &out)
     return true;
 }
 
-/** Parse a comma list of decimal integers for @p flag; false (with
- *  the parser's error) on junk or an empty list. */
-bool
-parseU64List(const std::string &flag, const std::string &s,
-             std::vector<std::uint64_t> &out)
-{
-    for (const std::string &tok : splitCommas(s)) {
-        std::uint64_t v = 0;
-        if (!parseDecimal(flag, tok, v))
-            return false;
-        out.push_back(v);
-    }
-    return true;
-}
-
 /**
  * Fail fast on an unwritable output path: probe with fopen(path,
  * "a") before the (possibly hours-long) sweep starts, removing the
@@ -500,227 +347,762 @@ emitOutput(const std::string &text, const std::string &path)
     return 0;
 }
 
-/** `smtsim sweep ...`: build a SweepSpec from the flags and run it. */
-int
-sweepMain(int argc, char **argv)
+// ---------------------------------------------------------------
+// One flag table for both modes
+// ---------------------------------------------------------------
+
+/** Which modes accept a flag. */
+enum : unsigned { RunMode = 1, SweepMode = 2, BothModes = 3 };
+
+/** A setter's verdict: keep parsing, or exit with this code. */
+constexpr int kNext = -1;
+
+struct Flag;
+
+/** One sweep value of a grid flag: its label part and its field. */
+struct AxisPoint
 {
+    std::string label; //!< e.g. "regs=256"
+    std::function<void(ConfigOverride &)> set;
+};
+
+/**
+ * What the command line asks for. Both modes fill one SweepSpec: a
+ * single run is the one-job sweep "cli-run" on one worker.
+ */
+struct Cli
+{
+    bool sweep = false;
     SweepSpec spec;
-    spec.name = "cli-sweep";
-    spec.commits = 60'000;
-    spec.warmup = 10'000;
-
-    std::vector<std::uint64_t> memLats, l2Lats, regSizes, iqSizes;
-    std::vector<std::uint64_t> coreCounts, llcWaysAxis;
-    std::vector<AllocatorKind> allocKinds;
-    std::vector<std::string> llcArbs;
-    std::string format = "table";
-    std::string outPath;
-    int jobs = 0;
-    std::uint64_t statsInterval = 0;
     RunnerOptions ropts;
+    int jobs = 0;
+    std::string format; //!< sink name; "" = the human report
+    std::string outPath;
+    /** A sweep's values of each grid flag, keyed by table row. */
+    std::map<const Flag *, std::vector<AxisPoint>> axes;
+};
 
+/** One command-line flag: name, usage text, where its value goes. */
+struct Flag
+{
+    const char *name;
+    const char *arg;  //!< value placeholder; nullptr for a switch
+    unsigned modes;
+    const char *help; //!< nullptr keeps the row out of usage()
+    /** Store one occurrence ("" for a switch): kNext or an exit code. */
+    int (*set)(Cli &, const Flag &, const std::string &);
+    std::uint64_t min = 0; //!< decimal bounds; max 0 = the type's
+    std::uint64_t max = 0;
+    const char *axis = nullptr; //!< a grid flag's sweep label key
+};
+
+void usage();
+
+/** Parse a decimal of @p field's type within @p f's bounds. */
+template <typename T>
+int
+number(const Flag &f, const std::string &text, T &field)
+{
+    if (!parseDecimal(f.name, text, field))
+        return 1;
+    const auto v = static_cast<unsigned long long>(field);
+    if (v >= f.min && (f.max == 0 || v <= f.max))
+        return kNext;
+    if (f.max) {
+        std::fprintf(stderr, "error: %s wants %llu..%llu\n", f.name,
+                     static_cast<unsigned long long>(f.min),
+                     static_cast<unsigned long long>(f.max));
+    } else {
+        std::fprintf(stderr, "error: %s wants %s >= %llu\n", f.name,
+                     f.arg, static_cast<unsigned long long>(f.min));
+    }
+    return 1;
+}
+
+/** One grid value, its label text appended to @p label: a decimal
+ *  of the field's type, ... */
+template <typename T>
+bool
+gridValue(const Flag &f, const std::string &text, T &out,
+          std::string &label)
+{
+    if (number(f, text, out) != kNext)
+        return false;
+    label += std::to_string(out);
+    return true;
+}
+
+/** ... a registered allocator (labelled by its canonical name), ... */
+bool
+gridValue(const Flag &, const std::string &text, AllocatorKind &out,
+          std::string &label)
+{
+    out = parseAllocatorKind(text);
+    label += allocatorKindName(out);
+    return true;
+}
+
+/** ... or a registered LLC arbiter. */
+bool
+gridValue(const Flag &, const std::string &text, std::string &out,
+          std::string &label)
+{
+    if (!isLlcArbiterName(text)) {
+        std::fprintf(stderr,
+                     "error: unknown LLC arbiter '%s' (run 'smtsim "
+                     "--list-arbiters')\n",
+                     text.c_str());
+        return false;
+    }
+    out = text;
+    label += text;
+    return true;
+}
+
+/**
+ * The setter of a grid flag. A single run takes exactly one value
+ * and folds it into the base config with no label, so its cli-run
+ * document stays the same; a sweep takes a comma list, one axis of
+ * the grid.
+ */
+template <typename T>
+int
+grid(Cli &c, const Flag &f, const std::string &text,
+     std::optional<T> ConfigOverride::*field,
+     bool (*valid)(T) = nullptr)
+{
+    const std::vector<std::string> values =
+        c.sweep ? splitCommas(text) : std::vector<std::string>{text};
+    for (const std::string &v : values) {
+        T x{};
+        std::string label = std::string(f.axis) + "=";
+        if (!gridValue(f, v, x, label) || (valid && !valid(x)))
+            return 1;
+        AxisPoint p{std::move(label),
+                    [field, x](ConfigOverride &o) { o.*field = x; }};
+        if (c.sweep) {
+            c.axes[&f].push_back(std::move(p));
+            continue;
+        }
+        ConfigOverride o;
+        p.set(o);
+        c.spec.base = o.apply(c.spec.base);
+    }
+    return kNext;
+}
+
+/**
+ * An ad-hoc workload as given: benches only, no id. validateJobs
+ * checks it against every job's chip before adHocWorkload types it.
+ */
+Workload
+pendingWorkload(std::vector<std::string> benches)
+{
+    Workload w{};
+    w.benches = std::move(benches);
+    return w;
+}
+
+int
+addWorkloadIds(Cli &c, const Flag &, const std::string &text)
+{
+    const std::vector<Workload> &all = allWorkloads();
+    for (const std::string &id : splitCommas(text)) {
+        auto it = std::find_if(
+            all.begin(), all.end(),
+            [&](const Workload &w) { return w.id == id; });
+        if (it == all.end()) {
+            std::fprintf(stderr,
+                         "error: unknown workload id '%s' (run "
+                         "'smtsim --list-workloads')\n",
+                         id.c_str());
+            return 1;
+        }
+        c.spec.workloads.push_back(*it);
+    }
+    return kNext;
+}
+
+int
+addCells(Cli &c, const Flag &f, const std::string &text)
+{
+    for (const std::string &cell : splitCommas(text)) {
+        WorkloadType ty;
+        if (cell.rfind("ILP", 0) == 0)
+            ty = WorkloadType::ILP;
+        else if (cell.rfind("MIX", 0) == 0)
+            ty = WorkloadType::MIX;
+        else if (cell.rfind("MEM", 0) == 0)
+            ty = WorkloadType::MEM;
+        else {
+            std::fprintf(stderr,
+                         "error: bad cell '%s' (want e.g. ILP2, MIX3, "
+                         "MEM4)\n",
+                         cell.c_str());
+            return 1;
+        }
+        int n = 0;
+        if (!parseDecimal(f.name, cell.substr(3), n))
+            return 1;
+        const std::vector<Workload> group = workloadsOf(n, ty);
+        if (group.empty()) {
+            std::fprintf(stderr, "error: no workloads in cell '%s'\n",
+                         cell.c_str());
+            return 1;
+        }
+        c.spec.workloads.insert(c.spec.workloads.end(), group.begin(),
+                                group.end());
+    }
+    return kNext;
+}
+
+int
+listBenchmarks(Cli &, const Flag &, const std::string &)
+{
+    for (const auto &b : allBenchNames()) {
+        const BenchProfile &p = benchProfile(b);
+        // smtlint:allow(D2): human-facing table; C locale is pinned (D1 bans setlocale)
+        std::printf("%-8s %s  %s  (paper L2 miss %.1f%%)\n", b.c_str(),
+                    p.isFp ? "FP " : "INT",
+                    isMemBench(b) ? "MEM" : "ILP", p.paperL2MissRate);
+    }
+    return 0;
+}
+
+int
+listWorkloads(Cli &, const Flag &, const std::string &)
+{
+    for (const Workload &w : allWorkloads()) {
+        std::printf("%-8s", w.id.c_str());
+        for (const auto &b : w.benches)
+            std::printf(" %s", b.c_str());
+        std::printf("\n");
+    }
+    return 0;
+}
+
+int
+listNames(const std::vector<const char *> &names)
+{
+    for (const char *n : names)
+        std::printf("%s\n", n);
+    return 0;
+}
+
+using Text = const std::string &;
+
+/**
+ * Every flag of both modes, documented once. The grid flags (the
+ * rows with an axis key) cross in table order, so a sweep's config
+ * labels read "cores=2,alloc=symbiosis,...,iq=32".
+ */
+const Flag kFlags[] = {
+    // Single run only.
+    {"--workload", "a,b,c", RunMode,
+     "comma-separated benchmarks, one thread each (default gzip,twolf)",
+     [](Cli &c, const Flag &, Text v) {
+         c.spec.workloads = {pendingWorkload(splitCommas(v))};
+         return kNext;
+     }},
+    {"--policy", "NAME", RunMode,
+     "fetch/allocation policy (default DCRA): ROUND-ROBIN ICOUNT STALL "
+     "FLUSH FLUSH++ DG PDG SRA DCRA DCRA-DEG",
+     [](Cli &c, const Flag &, Text v) {
+         c.spec.policies = {parsePolicyKind(v)};
+         return kNext;
+     }},
+    {"--json", nullptr, RunMode,
+     "print the sweep JSON schema instead of the human report",
+     [](Cli &c, const Flag &, Text) { c.format = "json"; return kNext; }},
+    {"--list-benchmarks", nullptr, RunMode, "show available benchmarks",
+     listBenchmarks},
+    {"--list-workloads", nullptr, RunMode,
+     "show the paper's Table 4 workloads", listWorkloads},
+    {"--list-policies", nullptr, RunMode,
+     "show registered fetch/alloc policies",
+     [](Cli &, const Flag &, Text) { return listNames(policyNames()); }},
+    {"--list-arbiters", nullptr, RunMode, "show registered LLC arbiters",
+     [](Cli &, const Flag &, Text) { return listNames(llcArbiterNames()); }},
+    {"--selftest", nullptr, RunMode,
+     "10k-cycle 2-thread DCRA smoke run plus a 2-core chip smoke; exits "
+     "nonzero on NaN/zero IPC or nondeterminism",
+     [](Cli &, const Flag &, Text) { return selftest(); }},
+
+    // Sweep only.
+    {"--benches", "a+b,c+d", SweepMode,
+     "ad-hoc workloads ('+' joins the threads of one workload)",
+     [](Cli &c, const Flag &, Text v) {
+         for (const std::string &w : splitCommas(v))
+             c.spec.workloads.push_back(pendingWorkload(splitOn(w, '+')));
+         return kNext;
+     }},
+    {"--workloads", "id,...", SweepMode,
+     "paper Table 4 workload ids (e.g. MEM2.g1; see --list-workloads)",
+     addWorkloadIds},
+    {"--cells", "MEM2,ILP4", SweepMode,
+     "all four groups of a workload cell", addCells},
+    {"--policies", "A,B", SweepMode, "policies to sweep (default ICOUNT,DCRA)",
+     [](Cli &c, const Flag &, Text v) {
+         for (const std::string &p : splitCommas(v))
+             c.spec.policies.push_back(parsePolicyKind(p));
+         return kNext;
+     }},
+    {"--no-hmean", nullptr, SweepMode, "skip single-thread baselines",
+     [](Cli &c, const Flag &, Text) {
+         c.spec.computeHmean = false;
+         return kNext;
+     }},
+    {"--jobs", "N", SweepMode,
+     "worker threads (default: all host cores); results are identical "
+     "for every N",
+     [](Cli &c, const Flag &f, Text v) { return number(f, v, c.jobs); }, 1},
+    {"--format", "F", SweepMode, "table | csv | json (default table)",
+     [](Cli &c, const Flag &, Text v) { c.format = v; return kNext; }},
+    {"--output", "FILE", SweepMode, "write to FILE instead of stdout",
+     [](Cli &c, const Flag &, Text v) { c.outPath = v; return kNext; }},
+    {"--journal", "FILE", SweepMode,
+     "append one durable NDJSON record per completed job (fsync'd); a "
+     "fresh sweep truncates FILE first",
+     [](Cli &c, const Flag &, Text v) {
+         c.ropts.journalPath = v;
+         return kNext;
+     }},
+    {"--resume", nullptr, SweepMode,
+     "replay completed jobs from --journal and run only the rest; merged "
+     "output is byte-identical to an uninterrupted run",
+     [](Cli &c, const Flag &, Text) { c.ropts.resume = true; return kNext; }},
+    {"--isolate-jobs", nullptr, SweepMode,
+     "fork each job into a child process so a crash loses one job, not "
+     "the sweep",
+     [](Cli &c, const Flag &, Text) {
+         c.ropts.exec.isolate = true;
+         return kNext;
+     }},
+    {"--job-timeout", "SEC", SweepMode,
+     "kill an isolated job after SEC seconds (needs --isolate-jobs)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.ropts.exec.timeoutSec);
+     },
+     1},
+    {"--job-retries", "N", SweepMode,
+     "re-run a failed job up to N extra times with deterministic backoff",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.ropts.exec.retries);
+     }},
+    {"--job-backoff", "MS", SweepMode,
+     "base retry backoff in milliseconds (attempt k waits MS << (k-1); "
+     "default 50)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.ropts.exec.backoffMs);
+     }},
+
+    // Both modes.
+    {"--commits", "N", BothModes,
+     "first-thread commit budget (default 100000; sweep 60000)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.commits);
+     }},
+    {"--warmup", "N", BothModes,
+     "warmup commits before measuring (default 10000)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.warmup);
+     }},
+    {"--seed", "N", BothModes, "workload generation seed",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.base.seed);
+     }},
+    {"--perfect-dcache", nullptr, BothModes, "all data accesses hit L1",
+     [](Cli &c, const Flag &, Text) {
+         c.spec.base.mem.perfectDcache = true;
+         return kNext;
+     }},
+    {"--contexts", "N", BothModes,
+     "hardware contexts per core on a multi-core chip (default 4)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.base.soc.contextsPerCore);
+     },
+     1, maxThreads},
+    {"--epoch", "N", BothModes,
+     "cycles between thread reallocations (0 disables; default 20000)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.base.soc.epochCycles);
+     }},
+    {"--chip-jobs", "N", BothModes,
+     "host threads ticking a chip's cores (1 = serial, 0 = one per host "
+     "thread); results are byte-identical for every value",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.base.soc.chipJobs);
+     }},
+    {"--trace-out", "PREFIX", BothModes,
+     "record telemetry: PREFIX.job<i>.ts.ndjson (time series) and "
+     "PREFIX.job<i>.trace.json (Chrome trace, loadable in Perfetto) per "
+     "job, named by the deterministic job order; sweep JSON becomes "
+     "schema smtsim-sweep-v2",
+     [](Cli &c, const Flag &, Text v) {
+         c.spec.telemetry.tracePrefix = v;
+         return kNext;
+     }},
+    {"--ts-out", "PREFIX", BothModes,
+     "record the time series alone: PREFIX.job<i>.ts.ndjson, no trace file",
+     [](Cli &c, const Flag &, Text v) {
+         c.spec.telemetry.tsPrefix = v;
+         return kNext;
+     }},
+    {"--stats-interval", "N", BothModes,
+     "cycles between telemetry samples (default 10000; needs --trace-out "
+     "or --ts-out)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.telemetry.statsInterval);
+     },
+     1},
+    {"--prof", "PREFIX", BothModes,
+     "host wall-clock profiling: PREFIX.job<i>.prof.ndjson per job plus "
+     "PREFIX.runner.prof.ndjson (job wall/queue times, baseline-cache "
+     "contention). Host data, nondeterministic; simulated results stay "
+     "byte-identical. With --trace-out, host spans are merged into the "
+     "Perfetto trace",
+     [](Cli &c, const Flag &, Text v) {
+         c.spec.prof.prefix = v;
+         return kNext;
+     }},
+    {"--prof-every", "N", BothModes, "host-time 1 in N ticks (default 64)",
+     [](Cli &c, const Flag &f, Text v) {
+         return number(f, v, c.spec.prof.sampleEvery);
+     },
+     1},
+    {"--help", nullptr, BothModes, "show this text (also -h)",
+     [](Cli &, const Flag &, Text) { usage(); return 0; }},
+
+    // The grid, in crossing order.
+    {"--cores", "N", BothModes,
+     "SMT cores on the chip (default 1, the paper's single-core machine; "
+     "more run on the CMP layer)",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::numCores);
+     },
+     1, 0, "cores"},
+    {"--allocator", "NAME", BothModes,
+     "thread-to-core allocator: round-robin symbiosis synpa (default "
+     "round-robin)",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::allocator);
+     },
+     0, 0, "alloc"},
+    {"--llc-arbiter", "NAME", BothModes,
+     "chip-level LLC arbiter: static chip-dcra way-equal way-util "
+     "(default static)",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::llcArbiter);
+     },
+     0, 0, "llcarb"},
+    {"--llc-ways", "N", BothModes,
+     "LLC associativity (a power of two <= 32) for way-partitioning "
+     "experiments",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::llcWays, validateLlcWays);
+     },
+     0, 0, "llcways"},
+    {"--mem-latency", "N", BothModes, "main memory latency (cycles)",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::memLatency);
+     },
+     0, 0, "mem"},
+    {"--l2-latency", "N", BothModes, "L2 access latency (cycles)",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::l2Latency);
+     },
+     0, 0, "l2"},
+    {"--regs", "N", BothModes,
+     "physical registers per file; more than 40 per context of a core",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::physRegsPerFile);
+     },
+     0, 0, "regs"},
+    {"--iq", "N", BothModes, "entries per issue queue",
+     [](Cli &c, const Flag &f, Text v) {
+         return grid(c, f, v, &ConfigOverride::iqSize);
+     },
+     1, 0, "iq"},
+};
+
+/** Print one usage row, its help word-wrapped into a column. */
+void
+printFlag(const Flag &f)
+{
+    constexpr std::size_t col = 24;
+    constexpr std::size_t width = 78;
+    std::string line = std::string("  ") + f.name;
+    if (f.arg)
+        line.append(" ").append(f.arg);
+    if (line.size() >= col) {
+        std::printf("%s\n", line.c_str());
+        line.clear();
+    }
+    line.resize(col, ' ');
+    for (const std::string &word : splitOn(f.help, ' ')) {
+        if (line.size() > col && line.size() + 1 + word.size() > width) {
+            std::printf("%s\n", line.c_str());
+            line.assign(col, ' ');
+        } else if (line.size() > col) {
+            line += ' ';
+        }
+        line += word;
+    }
+    std::printf("%s\n", line.c_str());
+}
+
+void
+usage()
+{
+    std::printf(
+        "usage: smtsim [options]\n"
+        "       smtsim sweep [options]\n"
+        "       smtsim prof-report [--top N] FILE.prof.ndjson...\n"
+        "\n"
+        "A single run is the one-job sweep \"cli-run\": workload gzip,twolf\n"
+        "under DCRA, 100000 commits after 10000 of warmup, a 100M-cycle\n"
+        "cap, no Hmean baselines; it prints a per-thread report, or the\n"
+        "sweep JSON schema with --json. `smtsim sweep` runs the grid\n"
+        "workloads x policies x configs (\"cli-sweep\": policies\n"
+        "ICOUNT,DCRA, 60000 commits after 10000 of warmup, a 50M-cycle\n"
+        "cap) on a pool of workers and prints a table, CSV or JSON. A\n"
+        "core holds at most %d threads; a chip, cores x --contexts.\n",
+        maxThreads);
+    const struct
+    {
+        const char *title;
+        bool (*in)(const Flag &);
+    } sections[] = {
+        {"single-run options:",
+         [](const Flag &f) { return f.modes == RunMode; }},
+        {"sweep options:",
+         [](const Flag &f) { return f.modes == SweepMode; }},
+        {"options of both modes:",
+         [](const Flag &f) { return f.modes == BothModes && !f.axis; }},
+        {"grid flags (one value in a single run; comma lists in a\n"
+         "sweep, crossed in this order into the config axis):",
+         [](const Flag &f) { return f.axis != nullptr; }},
+    };
+    for (const auto &s : sections) {
+        std::printf("\n%s\n", s.title);
+        for (const Flag &f : kFlags) {
+            if (f.help && s.in(f))
+                printFlag(f);
+        }
+    }
+    std::printf(
+        "\n"
+        "prof-report: aggregate one or more .prof.ndjson sidecars\n"
+        "(from --prof) into a table: top host-time scopes, wavefront\n"
+        "gate waits and per-worker utilization, job wall-time\n"
+        "percentiles, baseline-cache contention. --top N limits the\n"
+        "scope table (default 20).\n"
+        "\n"
+        "exit codes: 0 success, 1 usage/config error or a failed\n"
+        "single run, 3 sweep completed but jobs failed (see the JSON\n"
+        "failures block), 130 sweep interrupted by SIGINT/SIGTERM\n"
+        "(journal stays resumable)\n");
+}
+
+/** Parse the mode's arguments into @p c: kNext or an exit code. */
+int
+parseArgs(Cli &c, int argc, char **argv)
+{
+    const unsigned mode = c.sweep ? SweepMode : RunMode;
     for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--benches") {
-            // Names and capacity are validated after the whole
-            // command line is parsed: the thread capacity depends
-            // on --cores/--contexts, which may come later.
-            for (const std::string &spec_s : splitCommas(next())) {
-                const std::vector<std::string> benches =
-                    splitOn(spec_s, '+');
-                if (benches.empty() ||
-                    (benches.size() == 1 && benches[0].empty())) {
-                    std::fprintf(stderr, "error: empty workload\n");
-                    return 1;
-                }
-                spec.workloads.push_back(adHocWorkload(benches));
-            }
-        } else if (arg == "--workloads") {
-            for (const std::string &id : splitCommas(next())) {
-                const std::vector<Workload> &all = allWorkloads();
-                auto it = std::find_if(
-                    all.begin(), all.end(),
-                    [&](const Workload &w) { return w.id == id; });
-                if (it == all.end()) {
-                    std::fprintf(stderr,
-                                 "error: unknown workload id '%s' "
-                                 "(run 'smtsim --list-workloads')\n",
-                                 id.c_str());
-                    return 1;
-                }
-                spec.workloads.push_back(*it);
-            }
-        } else if (arg == "--cells") {
-            for (const std::string &cell : splitCommas(next())) {
-                WorkloadType ty;
-                if (cell.rfind("ILP", 0) == 0)
-                    ty = WorkloadType::ILP;
-                else if (cell.rfind("MIX", 0) == 0)
-                    ty = WorkloadType::MIX;
-                else if (cell.rfind("MEM", 0) == 0)
-                    ty = WorkloadType::MEM;
-                else {
-                    std::fprintf(stderr,
-                                 "error: bad cell '%s' (want e.g. "
-                                 "ILP2, MIX3, MEM4)\n",
-                                 cell.c_str());
-                    return 1;
-                }
-                int n = 0;
-                if (!parseDecimal(arg, cell.substr(3), n))
-                    return 1;
-                const std::vector<Workload> group =
-                    workloadsOf(n, ty);
-                if (group.empty()) {
-                    std::fprintf(stderr,
-                                 "error: no workloads in cell '%s'\n",
-                                 cell.c_str());
-                    return 1;
-                }
-                spec.workloads.insert(spec.workloads.end(),
-                                      group.begin(), group.end());
-            }
-        } else if (arg == "--policies") {
-            for (const std::string &p : splitCommas(next()))
-                spec.policies.push_back(parsePolicyKind(p));
-        } else if (arg == "--mem-latency") {
-            if (!parseU64List(arg, next(), memLats))
-                return 1;
-        } else if (arg == "--l2-latency") {
-            if (!parseU64List(arg, next(), l2Lats))
-                return 1;
-        } else if (arg == "--regs") {
-            if (!parseU64List(arg, next(), regSizes))
-                return 1;
-        } else if (arg == "--iq") {
-            if (!parseU64List(arg, next(), iqSizes))
-                return 1;
-        } else if (arg == "--cores") {
-            if (!parseU64List(arg, next(), coreCounts))
-                return 1;
-        } else if (arg == "--allocator") {
-            for (const std::string &a : splitCommas(next()))
-                allocKinds.push_back(parseAllocatorKind(a));
-        } else if (arg == "--llc-arbiter") {
-            for (const std::string &a : splitCommas(next())) {
-                if (!isLlcArbiterName(a)) {
-                    std::fprintf(stderr,
-                                 "error: unknown LLC arbiter '%s' "
-                                 "(run 'smtsim --list-arbiters')\n",
-                                 a.c_str());
-                    return 1;
-                }
-                llcArbs.push_back(a);
-            }
-        } else if (arg == "--llc-ways") {
-            std::vector<std::uint64_t> ways;
-            if (!parseU64List(arg, next(), ways))
-                return 1;
-            for (const std::uint64_t w : ways) {
-                if (!validateLlcWays(static_cast<int>(w)))
-                    return 1;
-                llcWaysAxis.push_back(w);
-            }
-        } else if (arg == "--contexts") {
-            int n = 0;
-            if (!parseDecimal(arg, next(), n))
-                return 1;
-            if (n < 1 || n > maxThreads) {
-                std::fprintf(stderr,
-                             "error: --contexts wants 1..%d\n",
-                             maxThreads);
-                return 1;
-            }
-            spec.base.soc.contextsPerCore = n;
-        } else if (arg == "--epoch") {
-            if (!parseDecimal(arg, next(), spec.base.soc.epochCycles))
-                return 1;
-        } else if (arg == "--commits") {
-            if (!parseDecimal(arg, next(), spec.commits))
-                return 1;
-        } else if (arg == "--warmup") {
-            if (!parseDecimal(arg, next(), spec.warmup))
-                return 1;
-        } else if (arg == "--seed") {
-            if (!parseDecimal(arg, next(), spec.base.seed))
-                return 1;
-        } else if (arg == "--perfect-dcache") {
-            spec.base.mem.perfectDcache = true;
-        } else if (arg == "--no-hmean") {
-            spec.computeHmean = false;
-        } else if (arg == "--chip-jobs") {
-            if (!parseDecimal(arg, next(), spec.base.soc.chipJobs))
-                return 1;
-        } else if (arg == "--jobs") {
-            if (!parseDecimal(arg, next(), jobs))
-                return 1;
-            if (jobs < 1) {
-                std::fprintf(stderr, "error: --jobs wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--trace-out") {
-            spec.telemetry.tracePrefix = next();
-        } else if (arg == "--ts-out") {
-            spec.telemetry.tsPrefix = next();
-        } else if (arg == "--prof") {
-            spec.prof.prefix = next();
-        } else if (arg == "--prof-every") {
-            if (!parseDecimal(arg, next(), spec.prof.sampleEvery))
-                return 1;
-            if (spec.prof.sampleEvery < 1) {
-                std::fprintf(stderr,
-                             "error: --prof-every wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--stats-interval") {
-            if (!parseDecimal(arg, next(), statsInterval))
-                return 1;
-            if (statsInterval < 1) {
-                std::fprintf(stderr,
-                             "error: --stats-interval wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--format") {
-            format = next();
-        } else if (arg == "--output") {
-            outPath = next();
-        } else if (arg == "--journal") {
-            ropts.journalPath = next();
-        } else if (arg == "--resume") {
-            ropts.resume = true;
-        } else if (arg == "--isolate-jobs") {
-            ropts.exec.isolate = true;
-        } else if (arg == "--job-timeout") {
-            if (!parseDecimal(arg, next(), ropts.exec.timeoutSec))
-                return 1;
-            if (ropts.exec.timeoutSec < 1) {
-                std::fprintf(stderr,
-                             "error: --job-timeout wants N >= 1 "
-                             "seconds\n");
-                return 1;
-            }
-        } else if (arg == "--job-retries") {
-            if (!parseDecimal(arg, next(), ropts.exec.retries))
-                return 1;
-        } else if (arg == "--job-backoff") {
-            if (!parseDecimal(arg, next(), ropts.exec.backoffMs))
-                return 1;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown sweep option '%s'\n",
+        const std::string arg =
+            std::strcmp(argv[i], "-h") == 0 ? "--help" : argv[i];
+        const Flag *flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags), [&](const Flag &f) {
+                return (f.modes & mode) && arg == f.name;
+            });
+        if (flag == std::end(kFlags)) {
+            std::fprintf(stderr,
+                         c.sweep ? "unknown sweep option '%s'\n"
+                                 : "unknown option '%s'\n",
                          arg.c_str());
             usage();
             return 1;
         }
+        std::string value;
+        if (flag->arg) {
+            if (i + 1 >= argc)
+                fatal("missing value for %s", arg.c_str());
+            value = argv[++i];
+        }
+        const int rc = flag->set(c, *flag, value);
+        if (rc != kNext)
+            return rc;
+    }
+    return kNext;
+}
+
+/** Cross a sweep's grid values, in table order, into spec.configs;
+ *  a grid flag the user omitted adds no label and no override. */
+void
+crossAxes(Cli &c)
+{
+    std::vector<ConfigOverride> configs(1);
+    for (const Flag &f : kFlags) {
+        const auto it = c.axes.find(&f);
+        if (it == c.axes.end())
+            continue;
+        std::vector<ConfigOverride> crossed;
+        for (const ConfigOverride &o : configs) {
+            for (const AxisPoint &p : it->second) {
+                ConfigOverride n = o;
+                p.set(n);
+                if (!n.label.empty())
+                    n.label += ',';
+                n.label += p.label;
+                crossed.push_back(std::move(n));
+            }
+        }
+        configs = std::move(crossed);
+    }
+    if (!configs[0].label.empty())
+        c.spec.configs = std::move(configs);
+}
+
+/**
+ * Check every job before any runs: its workload must fit its chip
+ * (validateBenches), and its register file must leave rename
+ * registers beyond the contexts' architectural state (the file
+ * asserts otherwise). Then type the pending ad-hoc workloads.
+ */
+bool
+validateJobs(SweepSpec &spec)
+{
+    for (const SweepJob &job : expandSweep(spec)) {
+        const SocParams &soc = job.config.soc;
+        ChipShape shape;
+        if (soc.numCores > 1) {
+            shape.cores = soc.numCores;
+            shape.contexts = soc.contextsPerCore;
+        }
+        if (!validateBenches(job.workload.benches, shape))
+            return false;
+        const int contexts = soc.numCores > 1
+            ? soc.contextsPerCore
+            : static_cast<int>(job.workload.benches.size());
+        const int regs = job.config.core.physRegsPerFile;
+        if (regs <= contexts * numIntArchRegs) {
+            std::fprintf(stderr,
+                         "error: --regs %d leaves no rename registers: "
+                         "%d contexts per core hold %d architectural "
+                         "registers per file\n",
+                         regs, contexts, contexts * numIntArchRegs);
+            return false;
+        }
+    }
+    for (Workload &w : spec.workloads) {
+        if (w.id.empty())
+            w = adHocWorkload(w.benches);
+    }
+    return true;
+}
+
+/**
+ * The human single-run report, rendered from the one job's result:
+ * where the sidecars went, then the run's statistics.
+ */
+void
+printReport(const SweepSpec &spec, const JobResult &job)
+{
+    if (spec.prof.enabled()) {
+        const char *p = spec.prof.prefix.c_str();
+        std::printf("prof: host profile -> %s.job0.prof.ndjson, "
+                    "%s.runner.prof.ndjson (host wall-clock; "
+                    "nondeterministic)\n",
+                    p, p);
+    }
+    const TelemetrySpec &tel = spec.telemetry;
+    if (tel.enabled()) {
+        std::printf("telemetry: time series -> %s.job0.ts.ndjson",
+                    tel.tsOutPrefix().c_str());
+        if (tel.traceEnabled())
+            std::printf(", events -> %s.job0.trace.json",
+                        tel.tracePrefix.c_str());
+        std::printf("\n");
     }
 
+    const SimResult &r = job.summary.raw;
+    const SocParams &soc = job.job.config.soc;
+    // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
+    std::printf("policy=%s cycles=%llu throughput=%.3f mlp=%.2f\n",
+                policyKindName(job.job.policy),
+                static_cast<unsigned long long>(r.cycles),
+                r.throughput(), r.mlpBusyMean);
+    if (soc.numCores > 1) {
+        const double llcMissPct = r.llcAccesses
+            ? 100.0 * static_cast<double>(r.llcMisses) /
+                static_cast<double>(r.llcAccesses)
+            : 0.0;
+        std::printf("chip: cores=%d contexts=%d allocator=%s "
+                    "epoch=%llu migrations=%llu llc-acc=%llu "
+                    // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
+                    "llc-miss=%.2f%% llc-arbiter=%s "
+                    "share-reassignments=%llu\n",
+                    soc.numCores, soc.contextsPerCore,
+                    allocatorKindName(soc.allocator),
+                    static_cast<unsigned long long>(soc.epochCycles),
+                    static_cast<unsigned long long>(r.migrations),
+                    static_cast<unsigned long long>(r.llcAccesses),
+                    llcMissPct, r.llcArbiter.c_str(),
+                    static_cast<unsigned long long>(
+                        r.llcShareReassignments));
+        for (std::size_t c = 0; c < r.llcPerCore.size(); ++c) {
+            const LlcCoreStats &cs = r.llcPerCore[c];
+            std::printf("  llc core %zu: acc=%llu miss=%llu "
+                        "mshr-share=%d ways=%d lines=%llu\n",
+                        c,
+                        static_cast<unsigned long long>(cs.accesses),
+                        static_cast<unsigned long long>(cs.misses),
+                        cs.mshrShare, cs.ways,
+                        static_cast<unsigned long long>(
+                            cs.linesOwned));
+        }
+    }
+    std::printf("%-8s %10s %7s %9s %9s %8s %8s %8s %8s\n", "thread",
+                "commits", "IPC", "fetched", "squashed", "misp%",
+                "L1D%", "L2%", "flushes");
+    for (const ThreadResult &t : r.threads) {
+        const double mispPct = t.condBranches
+            ? 100.0 * static_cast<double>(t.mispredicts) /
+                static_cast<double>(t.condBranches)
+            : 0.0;
+        const double l1Pct = t.l1dAccesses
+            ? 100.0 * static_cast<double>(t.l1dMisses) /
+                static_cast<double>(t.l1dAccesses)
+            : 0.0;
+        // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
+        std::printf("%-8s %10llu %7.3f %9llu %9llu %7.2f%% %7.2f%% "
+                    "%7.2f%% %8llu\n", // smtlint:allow(D2): same report row
+                    t.bench.c_str(),
+                    static_cast<unsigned long long>(t.committed),
+                    t.ipc,
+                    static_cast<unsigned long long>(t.fetched),
+                    static_cast<unsigned long long>(t.squashed),
+                    mispPct, l1Pct, t.l2MissRatePct(),
+                    static_cast<unsigned long long>(t.flushes));
+    }
+    std::printf("phase mix (cycles with n slow threads):");
+    for (std::size_t n = 0; n < r.slowPhaseCycles.size(); ++n) {
+        // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
+        std::printf(" %zu-slow=%.1f%%", n,
+                    100.0 *
+                        static_cast<double>(r.slowPhaseCycles[n]) /
+                        static_cast<double>(r.cycles));
+    }
+    std::printf("\n");
+}
+
+/** Validate @p c, run its spec on the runner, and emit the result. */
+int
+runCli(Cli &c)
+{
+    SweepSpec &spec = c.spec;
+    RunnerOptions &ropts = c.ropts;
     if (ropts.resume && ropts.journalPath.empty()) {
         std::fprintf(stderr, "error: --resume needs --journal (the "
                      "file to replay)\n");
@@ -732,17 +1114,19 @@ sweepMain(int argc, char **argv)
                      "killed without losing the sweep)\n");
         return 1;
     }
-    ropts.faults = FaultPlan::fromEnv();
+    // A single run keeps the default RunnerOptions, fault plan too.
+    if (c.sweep)
+        ropts.faults = FaultPlan::fromEnv();
 
-    if (statsInterval > 0 && !spec.telemetry.enabled()) {
+    TelemetrySpec &tel = spec.telemetry;
+    if (tel.statsInterval > 0 && !tel.enabled()) {
         std::fprintf(stderr, "error: --stats-interval needs "
                      "--trace-out or --ts-out (nowhere to write "
                      "samples)\n");
         return 1;
     }
-    if (spec.telemetry.enabled())
-        spec.telemetry.statsInterval =
-            statsInterval ? statsInterval : 10'000;
+    if (tel.enabled() && tel.statsInterval == 0)
+        tel.statsInterval = 10'000;
 
     if (spec.workloads.empty()) {
         std::fprintf(stderr,
@@ -752,133 +1136,31 @@ sweepMain(int argc, char **argv)
     }
     if (spec.policies.empty())
         spec.policies = {PolicyKind::Icount, PolicyKind::Dcra};
-
-    // Every workload must fit every chip in the sweep. Capacity is
-    // not monotonic in the core count: one core offers maxThreads
-    // contexts, while a multi-core chip offers cores x --contexts —
-    // so validate against the tightest shape on the axis, not just
-    // the smallest core count.
-    ChipShape shape;
-    bool haveShape = false;
-    for (const std::uint64_t c : coreCounts) {
-        if (c < 1) {
-            std::fprintf(stderr, "error: --cores wants N >= 1\n");
-            return 1;
-        }
-        ChipShape cand; // c == 1: the single-core default shape
-        if (c > 1) {
-            cand.cores = static_cast<int>(c);
-            cand.contexts = spec.base.soc.contextsPerCore;
-        }
-        if (!haveShape || cand.capacity() < shape.capacity()) {
-            shape = cand;
-            haveShape = true;
-        }
-    }
-    for (const Workload &w : spec.workloads) {
-        if (!validateBenches(w.benches, shape))
-            return 1;
-    }
-
-    const std::unique_ptr<ResultSink> sink = makeSink(format);
-    if (!sink) {
-        std::fprintf(stderr,
-                     "error: unknown format '%s' (table, csv, "
-                     "json)\n",
-                     format.c_str());
+    crossAxes(c);
+    if (!validateJobs(spec))
         return 1;
-    }
 
-    // Cross product of the explicitly given config axes; an axis the
-    // user omitted contributes no label and no override.
-    auto axis = [](const std::vector<std::uint64_t> &v) {
-        return v.empty() ? std::vector<std::uint64_t>{0} : v;
-    };
-    const std::vector<AllocatorKind> allocAxis = allocKinds.empty()
-        ? std::vector<AllocatorKind>{AllocatorKind::RoundRobin}
-        : allocKinds;
-    const std::vector<std::string> arbAxis = llcArbs.empty()
-        ? std::vector<std::string>{"static"}
-        : llcArbs;
-    for (const std::uint64_t nc : axis(coreCounts)) {
-     for (const AllocatorKind ak : allocAxis) {
-      for (const std::string &la : arbAxis) {
-       for (const std::uint64_t lw : axis(llcWaysAxis)) {
-        for (const std::uint64_t ml : axis(memLats)) {
-          for (const std::uint64_t l2 : axis(l2Lats)) {
-            for (const std::uint64_t rg : axis(regSizes)) {
-                for (const std::uint64_t iq : axis(iqSizes)) {
-                    ConfigOverride o;
-                    auto addPart = [&](const char *k,
-                                       std::uint64_t v) {
-                        if (!o.label.empty())
-                            o.label += ',';
-                        o.label += k;
-                        o.label += '=';
-                        o.label += std::to_string(v);
-                    };
-                    auto addName = [&](const char *k,
-                                       const std::string &v) {
-                        if (!o.label.empty())
-                            o.label += ',';
-                        o.label += k;
-                        o.label += '=';
-                        o.label += v;
-                    };
-                    if (!coreCounts.empty()) {
-                        o.numCores = static_cast<int>(nc);
-                        addPart("cores", nc);
-                    }
-                    if (!allocKinds.empty()) {
-                        o.allocator = ak;
-                        addName("alloc", allocatorKindName(ak));
-                    }
-                    if (!llcArbs.empty()) {
-                        o.llcArbiter = la;
-                        addName("llcarb", la);
-                    }
-                    if (!llcWaysAxis.empty()) {
-                        o.llcWays = static_cast<int>(lw);
-                        addPart("llcways", lw);
-                    }
-                    if (!memLats.empty()) {
-                        o.memLatency = ml;
-                        addPart("mem", ml);
-                    }
-                    if (!l2Lats.empty()) {
-                        o.l2Latency = l2;
-                        addPart("l2", l2);
-                    }
-                    if (!regSizes.empty()) {
-                        o.physRegsPerFile = static_cast<int>(rg);
-                        addPart("regs", rg);
-                    }
-                    if (!iqSizes.empty()) {
-                        o.iqSize = static_cast<int>(iq);
-                        addPart("iq", iq);
-                    }
-                    if (!o.label.empty())
-                        spec.configs.push_back(std::move(o));
-                }
-            }
-          }
+    std::unique_ptr<ResultSink> sink;
+    if (!c.format.empty()) {
+        sink = makeSink(c.format);
+        if (!sink) {
+            std::fprintf(stderr,
+                         "error: unknown format '%s' (table, csv, "
+                         "json)\n",
+                         c.format.c_str());
+            return 1;
         }
-       }
-      }
-     }
     }
 
     // Fail fast on unwritable destinations before hours of
     // simulation, not after.
-    if (!probeWritable(outPath, "--output") ||
+    if (!probeWritable(c.outPath, "--output") ||
         !probeWritable(ropts.journalPath, "--journal"))
         return 1;
-    if (spec.telemetry.enabled() &&
-        !probeWritable(
-            telemetryFileBase(spec.telemetry.tsOutPrefix(), 0) +
-                ".ts.ndjson",
-            spec.telemetry.tsPrefix.empty() ? "--trace-out"
-                                            : "--ts-out"))
+    if (tel.enabled() &&
+        !probeWritable(telemetryFileBase(tel.tsOutPrefix(), 0) +
+                           ".ts.ndjson",
+                       tel.tsPrefix.empty() ? "--trace-out" : "--ts-out"))
         return 1;
     if (spec.prof.enabled() &&
         !probeWritable(profFileBase(spec.prof.prefix, 0) +
@@ -886,7 +1168,7 @@ sweepMain(int argc, char **argv)
                        "--prof"))
         return 1;
 
-    SweepRunner runner(std::move(spec), jobs, nullptr,
+    SweepRunner runner(std::move(spec), c.jobs, nullptr,
                        std::move(ropts));
     const SweepResults results = runner.run();
     if (results.interrupted) {
@@ -895,7 +1177,16 @@ sweepMain(int argc, char **argv)
                      "journal — re-run with --resume to finish\n");
         return 130;
     }
-    const int rc = emitOutput(sink->render(results), outPath);
+    if (!c.sweep && !results.failures.empty()) {
+        std::fprintf(stderr, "error: the run failed (%s)\n",
+                     results.failures[0].cause.c_str());
+        return 1;
+    }
+    if (!sink) {
+        printReport(results.spec, results.results[0]);
+        return 0;
+    }
+    const int rc = emitOutput(sink->render(results), c.outPath);
     if (rc)
         return rc;
     if (!results.failures.empty()) {
@@ -960,342 +1251,24 @@ profReportMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
-        return sweepMain(argc - 2, argv + 2);
     if (argc > 1 && std::strcmp(argv[1], "prof-report") == 0)
         return profReportMain(argc - 2, argv + 2);
 
-    std::vector<std::string> workload = {"gzip", "twolf"};
-    PolicyKind policy = PolicyKind::Dcra;
-    std::uint64_t commits = 100'000;
-    std::uint64_t warmup = 10'000;
-    bool jsonOut = false;
-    std::string traceOut;
-    std::string tsOut;
-    std::string profOut;
-    std::uint64_t profEvery = 64;
-    std::uint64_t statsInterval = 0;
-    SimConfig cfg;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            workload = splitCommas(next());
-        } else if (arg == "--policy") {
-            policy = parsePolicyKind(next());
-        } else if (arg == "--commits") {
-            if (!parseDecimal(arg, next(), commits))
-                return 1;
-        } else if (arg == "--warmup") {
-            if (!parseDecimal(arg, next(), warmup))
-                return 1;
-        } else if (arg == "--mem-latency") {
-            if (!parseDecimal(arg, next(), cfg.mem.memLatency))
-                return 1;
-        } else if (arg == "--l2-latency") {
-            if (!parseDecimal(arg, next(), cfg.mem.l2Latency))
-                return 1;
-        } else if (arg == "--regs") {
-            if (!parseDecimal(arg, next(), cfg.core.physRegsPerFile))
-                return 1;
-        } else if (arg == "--iq") {
-            int n = 0;
-            if (!parseDecimal(arg, next(), n))
-                return 1;
-            for (int q = 0; q < numQueueClasses; ++q)
-                cfg.core.iqSize[q] = n;
-        } else if (arg == "--seed") {
-            if (!parseDecimal(arg, next(), cfg.seed))
-                return 1;
-        } else if (arg == "--perfect-dcache") {
-            cfg.mem.perfectDcache = true;
-        } else if (arg == "--cores") {
-            if (!parseDecimal(arg, next(), cfg.soc.numCores))
-                return 1;
-            if (cfg.soc.numCores < 1) {
-                std::fprintf(stderr, "error: --cores wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--contexts") {
-            if (!parseDecimal(arg, next(), cfg.soc.contextsPerCore))
-                return 1;
-            if (cfg.soc.contextsPerCore < 1 ||
-                cfg.soc.contextsPerCore > maxThreads) {
-                std::fprintf(stderr,
-                             "error: --contexts wants 1..%d\n",
-                             maxThreads);
-                return 1;
-            }
-        } else if (arg == "--allocator") {
-            cfg.soc.allocator = parseAllocatorKind(next());
-        } else if (arg == "--epoch") {
-            if (!parseDecimal(arg, next(), cfg.soc.epochCycles))
-                return 1;
-        } else if (arg == "--llc-arbiter") {
-            cfg.soc.llcArbiter = next();
-            if (!isLlcArbiterName(cfg.soc.llcArbiter)) {
-                std::fprintf(stderr,
-                             "error: unknown LLC arbiter '%s' (run "
-                             "'smtsim --list-arbiters')\n",
-                             cfg.soc.llcArbiter.c_str());
-                return 1;
-            }
-        } else if (arg == "--llc-ways") {
-            if (!parseDecimal(arg, next(), cfg.soc.llcWays))
-                return 1;
-            if (!validateLlcWays(cfg.soc.llcWays))
-                return 1;
-        } else if (arg == "--chip-jobs") {
-            if (!parseDecimal(arg, next(), cfg.soc.chipJobs))
-                return 1;
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--ts-out") {
-            tsOut = next();
-        } else if (arg == "--prof") {
-            profOut = next();
-        } else if (arg == "--prof-every") {
-            if (!parseDecimal(arg, next(), profEvery))
-                return 1;
-            if (profEvery < 1) {
-                std::fprintf(stderr,
-                             "error: --prof-every wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--stats-interval") {
-            if (!parseDecimal(arg, next(), statsInterval))
-                return 1;
-            if (statsInterval < 1) {
-                std::fprintf(stderr,
-                             "error: --stats-interval wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--json") {
-            jsonOut = true;
-        } else if (arg == "--list-benchmarks") {
-            for (const auto &b : allBenchNames()) {
-                const BenchProfile &p = benchProfile(b);
-                // smtlint:allow(D2): human-facing table; C locale is pinned (D1 bans setlocale)
-                std::printf("%-8s %s  %s  (paper L2 miss %.1f%%)\n",
-                            b.c_str(), p.isFp ? "FP " : "INT",
-                            isMemBench(b) ? "MEM" : "ILP",
-                            p.paperL2MissRate);
-            }
-            return 0;
-        } else if (arg == "--list-workloads") {
-            for (const Workload &w : allWorkloads()) {
-                std::printf("%-8s", w.id.c_str());
-                for (const auto &b : w.benches)
-                    std::printf(" %s", b.c_str());
-                std::printf("\n");
-            }
-            return 0;
-        } else if (arg == "--list-policies") {
-            for (const char *n : policyNames())
-                std::printf("%s\n", n);
-            return 0;
-        } else if (arg == "--list-arbiters") {
-            for (const char *n : llcArbiterNames())
-                std::printf("%s\n", n);
-            return 0;
-        } else if (arg == "--selftest") {
-            return selftest();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 1;
-        }
-    }
-
-    ChipShape shape;
-    if (cfg.soc.numCores > 1) {
-        shape.cores = cfg.soc.numCores;
-        shape.contexts = cfg.soc.contextsPerCore;
-    }
-    if (!validateBenches(workload, shape))
-        return 1;
-
-    if (statsInterval > 0 && traceOut.empty() && tsOut.empty()) {
-        std::fprintf(stderr, "error: --stats-interval needs "
-                     "--trace-out or --ts-out (nowhere to write "
-                     "samples)\n");
-        return 1;
-    }
-    const Cycle interval = statsInterval ? statsInterval : 10'000;
-    const std::string tsOutPrefix = tsOut.empty() ? traceOut : tsOut;
-    if (!tsOutPrefix.empty() &&
-        !probeWritable(telemetryFileBase(tsOutPrefix, 0) +
-                           ".ts.ndjson",
-                       tsOut.empty() ? "--trace-out" : "--ts-out"))
-        return 1;
-    if (!profOut.empty() &&
-        !probeWritable(profFileBase(profOut, 0) + ".prof.ndjson",
-                       "--prof"))
-        return 1;
-
-    if (jsonOut) {
-        // A single run is a one-job sweep; the runner gives it the
-        // exact same JSON schema a sweep emits (telemetry and host
-        // profiling included: the sidecar files are PREFIX.job0.*).
-        SweepSpec spec;
-        spec.name = "cli-run";
-        spec.base = cfg;
-        spec.commits = commits;
-        spec.warmup = warmup;
-        spec.maxCycles = 100'000'000;
-        spec.computeHmean = false;
-        spec.workloads = {adHocWorkload(workload)};
-        spec.policies = {policy};
-        spec.telemetry.tracePrefix = traceOut;
-        spec.telemetry.tsPrefix = tsOut;
-        if (spec.telemetry.enabled())
-            spec.telemetry.statsInterval = interval;
-        spec.prof.prefix = profOut;
-        spec.prof.sampleEvery = profEvery;
-        SweepRunner runner(std::move(spec), 1);
-        const SweepResults results = runner.run();
-        return emitOutput(JsonSink().render(results), "");
-    }
-
-    std::unique_ptr<TelemetryHub> hub;
-    if (!tsOutPrefix.empty())
-        hub = std::make_unique<TelemetryHub>(interval);
-    std::unique_ptr<HostProfiler> hprof;
-    if (!profOut.empty()) {
-        hprof = std::make_unique<HostProfiler>(profEvery);
-        hprof->enableSpans(!traceOut.empty());
-    }
-    const std::uint64_t runT0 = hprof ? hprof->nowNs() : 0;
-
-    SimResult r;
-    if (cfg.soc.numCores > 1) {
-        ChipSimulator chip(cfg, workload, policy);
-        if (hub)
-            chip.setTelemetry(hub.get());
-        if (hprof)
-            chip.setHostProfiler(hprof.get());
-        r = chip.run(commits, 100'000'000, warmup);
+    Cli c;
+    c.sweep = argc > 1 && std::strcmp(argv[1], "sweep") == 0;
+    if (c.sweep) {
+        c.spec.name = "cli-sweep";
+        c.format = "table";
     } else {
-        Simulator sim(cfg, workload, policy);
-        if (hub)
-            sim.setTelemetry(hub.get());
-        if (hprof)
-            sim.setHostProfiler(hprof.get());
-        r = sim.run(commits, 100'000'000, warmup);
+        c.spec.name = "cli-run";
+        c.spec.commits = 100'000;
+        c.spec.maxCycles = 100'000'000;
+        c.spec.computeHmean = false;
+        c.spec.workloads = {pendingWorkload({"gzip", "twolf"})};
+        c.spec.policies = {PolicyKind::Dcra};
+        c.jobs = 1;
     }
-    if (hprof) {
-        hprof->record("{\"type\": \"run\", \"wallNs\": " +
-                      fmtU64(hprof->nowNs() - runT0) + "}");
-        if (!writeHostProfile(*hprof, profFileBase(profOut, 0),
-                              "job0"))
-            return 1;
-        std::printf("prof: %zu scopes, %zu records, %zu spans -> "
-                    "%s.job0.prof.ndjson (host wall-clock; "
-                    "nondeterministic)\n",
-                    hprof->scopeCount(), hprof->recordCount(),
-                    hprof->spanCount(), profOut.c_str());
-    }
-    if (hub) {
-        if (!writeTelemetryFiles(
-                *hub, telemetryFileBase(tsOutPrefix, 0),
-                traceOut.empty()
-                    ? std::string()
-                    : telemetryFileBase(traceOut, 0),
-                hprof ? hprof->chromeTraceEvents() : std::string()))
-            return 1;
-        if (traceOut.empty()) {
-            std::printf("telemetry: %zu samples -> "
-                        "%s.job0.ts.ndjson\n",
-                        hub->sampleCount(), tsOut.c_str());
-        } else if (tsOut.empty()) {
-            std::printf("telemetry: %zu samples, %zu events -> "
-                        "%s.job0.{ts.ndjson,trace.json}\n",
-                        hub->sampleCount(), hub->eventCount(),
-                        traceOut.c_str());
-        } else {
-            std::printf("telemetry: %zu samples, %zu events -> "
-                        "%s.job0.ts.ndjson, %s.job0.trace.json\n",
-                        hub->sampleCount(), hub->eventCount(),
-                        tsOut.c_str(), traceOut.c_str());
-        }
-    }
-
-    // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
-    std::printf("policy=%s cycles=%llu throughput=%.3f mlp=%.2f\n",
-                policyKindName(policy),
-                static_cast<unsigned long long>(r.cycles),
-                r.throughput(), r.mlpBusyMean);
-    if (cfg.soc.numCores > 1) {
-        const double llcMissPct = r.llcAccesses
-            ? 100.0 * static_cast<double>(r.llcMisses) /
-                static_cast<double>(r.llcAccesses)
-            : 0.0;
-        std::printf("chip: cores=%d contexts=%d allocator=%s "
-                    "epoch=%llu migrations=%llu llc-acc=%llu "
-                    // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
-                    "llc-miss=%.2f%% llc-arbiter=%s "
-                    "share-reassignments=%llu\n",
-                    cfg.soc.numCores, cfg.soc.contextsPerCore,
-                    allocatorKindName(cfg.soc.allocator),
-                    static_cast<unsigned long long>(
-                        cfg.soc.epochCycles),
-                    static_cast<unsigned long long>(r.migrations),
-                    static_cast<unsigned long long>(r.llcAccesses),
-                    llcMissPct, r.llcArbiter.c_str(),
-                    static_cast<unsigned long long>(
-                        r.llcShareReassignments));
-        for (std::size_t c = 0; c < r.llcPerCore.size(); ++c) {
-            const LlcCoreStats &cs = r.llcPerCore[c];
-            std::printf("  llc core %zu: acc=%llu miss=%llu "
-                        "mshr-share=%d ways=%d lines=%llu\n",
-                        c,
-                        static_cast<unsigned long long>(cs.accesses),
-                        static_cast<unsigned long long>(cs.misses),
-                        cs.mshrShare, cs.ways,
-                        static_cast<unsigned long long>(
-                            cs.linesOwned));
-        }
-    }
-    std::printf("%-8s %10s %7s %9s %9s %8s %8s %8s %8s\n", "thread",
-                "commits", "IPC", "fetched", "squashed", "misp%",
-                "L1D%", "L2%", "flushes");
-    for (const ThreadResult &t : r.threads) {
-        const double mispPct = t.condBranches
-            ? 100.0 * static_cast<double>(t.mispredicts) /
-                static_cast<double>(t.condBranches)
-            : 0.0;
-        const double l1Pct = t.l1dAccesses
-            ? 100.0 * static_cast<double>(t.l1dMisses) /
-                static_cast<double>(t.l1dAccesses)
-            : 0.0;
-        // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
-        std::printf("%-8s %10llu %7.3f %9llu %9llu %7.2f%% %7.2f%% "
-                    "%7.2f%% %8llu\n", // smtlint:allow(D2): same report row
-                    t.bench.c_str(),
-                    static_cast<unsigned long long>(t.committed),
-                    t.ipc,
-                    static_cast<unsigned long long>(t.fetched),
-                    static_cast<unsigned long long>(t.squashed),
-                    mispPct, l1Pct, t.l2MissRatePct(),
-                    static_cast<unsigned long long>(t.flushes));
-    }
-    std::printf("phase mix (cycles with n slow threads):");
-    for (std::size_t n = 0; n < r.slowPhaseCycles.size(); ++n) {
-        // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
-        std::printf(" %zu-slow=%.1f%%", n,
-                    100.0 *
-                        static_cast<double>(r.slowPhaseCycles[n]) /
-                        static_cast<double>(r.cycles));
-    }
-    std::printf("\n");
-    return 0;
+    const int skip = c.sweep ? 2 : 1;
+    const int rc = parseArgs(c, argc - skip, argv + skip);
+    return rc == kNext ? runCli(c) : rc;
 }
