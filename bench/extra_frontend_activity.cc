@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -31,7 +32,7 @@ fetchPerCommit(PolicyKind k, Cycle memLat, Cycle l2Lat)
     for (int threads : {2, 4}) {
         for (const Workload &w :
              workloadsOf(threads, WorkloadType::MEM)) {
-            Simulator sim(cfg, w.benches, k);
+            ChipSimulator sim(cfg, w.benches, k);
             const SimResult r = sim.run(commitBudget() / 2,
                                         50'000'000,
                                         warmupBudget() / 2);

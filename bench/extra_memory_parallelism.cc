@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -27,7 +28,7 @@ cellMlp(PolicyKind k, int threads, WorkloadType ty)
     double mlp = 0.0;
     const auto cell = workloadsOf(threads, ty);
     for (const Workload &w : cell) {
-        Simulator sim(cfg, w.benches, k);
+        ChipSimulator sim(cfg, w.benches, k);
         const SimResult r = sim.run(commitBudget() / 2, 50'000'000,
                                     warmupBudget() / 2);
         mlp += r.mlpBusyMean;
@@ -70,10 +71,10 @@ main()
 
     // mcf degenerate case (paper: +31% overlap, little IPC effect)
     SimConfig cfg;
-    Simulator f(cfg, {"mcf", "twolf", "vpr", "parser"},
-                PolicyKind::FlushPp);
-    Simulator d(cfg, {"mcf", "twolf", "vpr", "parser"},
-                PolicyKind::Dcra);
+    ChipSimulator f(cfg, {"mcf", "twolf", "vpr", "parser"},
+                    PolicyKind::FlushPp);
+    ChipSimulator d(cfg, {"mcf", "twolf", "vpr", "parser"},
+                    PolicyKind::Dcra);
     const SimResult rf = f.run(commitBudget() / 2, 50'000'000,
                                warmupBudget() / 2);
     const SimResult rd = d.run(commitBudget() / 2, 50'000'000,

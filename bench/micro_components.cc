@@ -14,6 +14,7 @@
 #include "mem/cache.hh"
 #include "policy/sharing_model.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 #include "trace/generator.hh"
 
 namespace {
@@ -94,8 +95,8 @@ BM_PipelineTick(benchmark::State &state)
     SimConfig cfg;
     const std::vector<std::string> benches = {"gzip", "twolf",
                                               "bzip2", "mcf"};
-    Simulator sim(cfg, benches, PolicyKind::Dcra);
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, benches, PolicyKind::Dcra);
+    Pipeline &pipe = sim.pipeline(0);
     for (auto _ : state)
         pipe.tick();
     state.SetItemsProcessed(state.iterations());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulator-throughput benchmark: how many simulated cycles and
+ * Host-throughput benchmark: how many simulated cycles and
  * committed instructions per wall-clock second the simulator itself
  * delivers. This is the host-performance counterpart of the paper
  * figures — it measures the simulator, not the simulated machine —
@@ -51,7 +51,7 @@ struct Mix
 {
     const char *name;
     std::vector<std::string> benches;
-    int cores = 1; //!< > 1: simulate a CMP (ChipSimulator)
+    int cores = 1; //!< chip cores; 1 = the paper's machine
     const char *llcArbiter = "static"; //!< LLC arbiter (CMP only)
 };
 
@@ -108,10 +108,8 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
         int reps)
 {
     // Deterministic work (paper baseline, default seed) repeated
-    // reps times; the fastest repetition is reported.
-    // One timing/best-rep block for both machine kinds: only the
-    // simulator construction differs, and the construction cost is
-    // deliberately outside the timed region.
+    // reps times; the fastest repetition is reported. The machine's
+    // construction cost is deliberately outside the timed region.
     auto runOnce = [&](SimResult &out) {
         SimConfig cfg;
         if (mix.cores > 1) {
@@ -122,15 +120,10 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
             cfg.soc.epochCycles = 2'000;
             cfg.soc.llcArbiter = mix.llcArbiter;
             cfg.soc.llc.arbEpoch = 1'000;
-            ChipSimulator chip(cfg, mix.benches, policy);
-            const auto t0 = std::chrono::steady_clock::now();
-            out = chip.run(commits, 500'000'000);
-            const auto t1 = std::chrono::steady_clock::now();
-            return std::chrono::duration<double>(t1 - t0).count();
         }
-        Simulator sim(cfg, mix.benches, policy);
+        ChipSimulator chip(cfg, mix.benches, policy);
         const auto t0 = std::chrono::steady_clock::now();
-        out = sim.run(commits, 500'000'000);
+        out = chip.run(commits, 500'000'000);
         const auto t1 = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(t1 - t0).count();
     };

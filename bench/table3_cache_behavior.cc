@@ -15,6 +15,7 @@
 
 #include "bench/bench_util.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 #include "trace/bench_profile.hh"
 
 int
@@ -35,7 +36,7 @@ main()
 
     for (const std::string &name : allBenchNames()) {
         SimConfig cfg;
-        Simulator sim(cfg, {name}, PolicyKind::Icount);
+        ChipSimulator sim(cfg, {name}, PolicyKind::Icount);
         const SimResult r =
             sim.run(commitBudget(), 50'000'000, warmupBudget());
         const ThreadResult &t = r.threads[0];

@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 int
 main()
@@ -39,7 +40,7 @@ main()
         double frac[3] = {}; // [nSlow]
         for (const Workload &w : workloadsOf(2, types[ti])) {
             SimConfig cfg;
-            Simulator sim(cfg, w.benches, PolicyKind::Dcra);
+            ChipSimulator sim(cfg, w.benches, PolicyKind::Dcra);
             const SimResult r = sim.run(commitBudget(), 50'000'000,
                                         warmupBudget());
             for (int n = 0; n <= 2; ++n) {

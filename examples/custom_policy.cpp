@@ -7,8 +7,9 @@
  * simple illustration: every thread is statically entitled to
  * 1.5x its equal share of each resource, enforced as a fetch gate
  * (DCRA-style response action, SRA-style static input information).
- * It slots into the Simulator exactly like the built-in policies and
- * is compared against SRA and DCRA on a MIX workload.
+ * The machine takes a policy maker, called once per core, so a user
+ * policy slots into a ChipSimulator exactly like the built-in ones.
+ * It is compared against SRA and DCRA on a MIX workload.
  */
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 
 #include "policy/policy.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -43,11 +45,10 @@ class BudgetedThrottlePolicy : public Policy
 };
 
 double
-runWith(std::unique_ptr<Policy> policy, const char *label)
+runWith(const ChipSimulator::PolicyMaker &makeOne, const char *label)
 {
     SimConfig cfg;
-    Simulator sim(cfg, {"gzip", "twolf", "bzip2", "mcf"},
-                  std::move(policy));
+    ChipSimulator sim(cfg, {"gzip", "twolf", "bzip2", "mcf"}, makeOne);
     const SimResult r = sim.run(50'000, 50'000'000, 10'000);
     std::printf("%-6s throughput=%.3f ", label, r.throughput());
     for (const ThreadResult &t : r.threads)
@@ -63,10 +64,11 @@ main()
 {
     std::printf("custom policy vs built-ins on MIX4.g1 "
                 "(gzip twolf bzip2 mcf)\n\n");
-    runWith(std::make_unique<BudgetedThrottlePolicy>(), "BRT");
-    PolicyParams pp;
-    runWith(makePolicy(PolicyKind::Sra, pp), "SRA");
-    runWith(makePolicy(PolicyKind::Dcra, pp), "DCRA");
+    runWith([] { return std::make_unique<BudgetedThrottlePolicy>(); },
+            "BRT");
+    const PolicyParams pp;
+    runWith([&] { return makePolicy(PolicyKind::Sra, pp); }, "SRA");
+    runWith([&] { return makePolicy(PolicyKind::Dcra, pp); }, "DCRA");
     std::printf("\nsee src/policy/dcra.cc for the full-featured "
                 "version of this pattern\n");
     return 0;

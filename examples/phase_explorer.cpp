@@ -15,6 +15,7 @@
 
 #include "policy/dcra.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 int
 main(int argc, char **argv)
@@ -28,9 +29,9 @@ main(int argc, char **argv)
         benches = {"gzip", "mcf"};
 
     SimConfig cfg;
-    Simulator sim(cfg, benches, PolicyKind::Dcra);
-    Pipeline &pipe = sim.pipeline();
-    auto &dcra = static_cast<DcraPolicy &>(sim.policy());
+    ChipSimulator sim(cfg, benches, PolicyKind::Dcra);
+    Pipeline &pipe = sim.pipeline(0);
+    auto &dcra = static_cast<DcraPolicy &>(sim.policy(0));
 
     const ResourceType watched[] = {ResIqInt, ResIqLs, ResRegInt,
                                     ResRegFp};

@@ -5,13 +5,16 @@
  * print the headline numbers. This is the smallest end-to-end use of
  * the public API:
  *
- *   SimConfig -> Simulator -> run() -> SimResult.
+ *   SimConfig -> ChipSimulator -> run() -> SimResult.
+ *
+ * The default SimConfig has one core: the paper's machine.
  */
 
 #include <cstdio>
 
 #include "sim/metrics.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 int
 main()
@@ -24,7 +27,7 @@ main()
     // A classic MIX pair: one high-ILP thread, one memory-bounded.
     const std::vector<std::string> workload = {"gzip", "mcf"};
 
-    Simulator sim(cfg, workload, PolicyKind::Dcra);
+    ChipSimulator sim(cfg, workload, PolicyKind::Dcra);
     const SimResult res = sim.run(/*commitLimit=*/50'000);
 
     std::printf("DCRA on {gzip, mcf} for %llu cycles\n",

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "runner/sweep_spec.hh"
+#include "soc/chip.hh"
 
 namespace smt {
 
@@ -14,8 +15,13 @@ simulateBaseline(const SimConfig &cfg, const std::string &bench,
                  std::uint64_t commits, std::uint64_t warmup,
                  Cycle maxCycles)
 {
-    Simulator sim(cfg, {bench}, PolicyKind::Icount);
-    const SimResult res = sim.run(commits, maxCycles, warmup);
+    // The baseline is the bench alone on the paper's single core,
+    // whatever chip the caller's grid point shapes: the cache key
+    // leaves soc out, so every chip shape must get the same value.
+    SimConfig single = cfg;
+    single.soc = SocParams{};
+    ChipSimulator chip(single, {bench}, PolicyKind::Icount);
+    const SimResult res = chip.run(commits, maxCycles, warmup);
     return res.threads[0].ipc;
 }
 
@@ -33,7 +39,7 @@ BaselineCache::ipc(const SimConfig &cfg, const std::string &bench,
                    std::uint64_t commits, std::uint64_t warmup,
                    Cycle maxCycles)
 {
-    // The baseline run is always single-threaded (Simulator overrides
+    // The baseline run is always single-threaded (the machine sets
     // numThreads to the bench count), so configs differing only in
     // numThreads share one entry.
     SimConfig keyCfg = cfg;

@@ -36,7 +36,8 @@ class BaselineCache
         std::uint64_t commits, std::uint64_t warmup,
         Cycle maxCycles)>;
 
-    /** Default producer: a single-thread ICOUNT simulation. */
+    /** Default producer: a single-thread ICOUNT simulation on one
+     *  core, whatever cfg.soc says. */
     BaselineCache();
 
     /** Inject a producer (tests). */
@@ -44,9 +45,10 @@ class BaselineCache
 
     /**
      * Single-thread IPC of @p bench under @p cfg (numThreads is
-     * normalised to 1 in the cache key, matching what Simulator
-     * itself does for a one-bench run). Computes on first use,
-     * returns the cached value afterwards; safe to call from any
+     * normalised to 1 in the cache key, matching what the machine
+     * itself does for a one-bench run; cfg.soc is not part of the
+     * key, and the default producer ignores it). Computes on first
+     * use, returns the cached value afterwards; safe to call from any
      * number of threads concurrently.
      */
     double ipc(const SimConfig &cfg, const std::string &bench,

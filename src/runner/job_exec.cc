@@ -136,9 +136,10 @@ runJobInProcess(const SweepSpec &spec, const SweepJob &job,
         hprof->enableSpans(spec.telemetry.traceEnabled());
     }
     const std::uint64_t runT0 = hprof ? hprof->nowNs() : 0;
-    if (job.config.soc.numCores > 1) {
-        // CMP grid point: the whole chip is one job, so host
-        // parallelism still never touches result determinism.
+    {
+        // The whole machine is one job, so host parallelism never
+        // touches result determinism. It is freed before the
+        // sidecars below are rendered.
         ChipSimulator chip(job.config, job.workload.benches,
                            job.policy);
         if (hub)
@@ -146,13 +147,6 @@ runJobInProcess(const SweepSpec &spec, const SweepJob &job,
         if (hprof)
             chip.setHostProfiler(hprof.get());
         s.raw = chip.run(spec.commits, spec.maxCycles, spec.warmup);
-    } else {
-        Simulator sim(job.config, job.workload.benches, job.policy);
-        if (hub)
-            sim.setTelemetry(hub.get());
-        if (hprof)
-            sim.setHostProfiler(hprof.get());
-        s.raw = sim.run(spec.commits, spec.maxCycles, spec.warmup);
     }
     // A sidecar the job could not write fails the job (the writers
     // have said which file): it is not journaled, so --resume runs

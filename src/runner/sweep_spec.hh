@@ -175,7 +175,7 @@ struct SweepJob
     Workload workload;
     PolicyKind policy = PolicyKind::Icount;
     std::string configLabel;
-    SimConfig config; //!< base + override, ready for Simulator
+    SimConfig config; //!< base + override, ready for ChipSimulator
 };
 
 /**

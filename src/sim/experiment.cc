@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "sim/metrics.hh"
+#include "soc/chip.hh"
 
 namespace smt {
 
@@ -28,9 +29,9 @@ ExperimentContext::singleThreadIpc(const std::string &bench)
 RunSummary
 ExperimentContext::runWorkload(const Workload &w, PolicyKind policy)
 {
-    Simulator sim(base, w.benches, policy);
+    ChipSimulator chip(base, w.benches, policy);
     RunSummary s;
-    s.raw = sim.run(limit, 50'000'000, warmup);
+    s.raw = chip.run(limit, 50'000'000, warmup);
     for (std::size_t i = 0; i < w.benches.size(); ++i) {
         s.multiIpc.push_back(s.raw.threads[i].ipc);
         s.singleIpc.push_back(singleThreadIpc(w.benches[i]));

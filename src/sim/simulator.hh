@@ -1,27 +1,24 @@
 /**
  * @file
- * Top-level simulation driver: owns the memory system, branch
- * predictor, trace generators, policy and pipeline for one run, and
- * collects the per-run measurements the experiments report.
+ * What one run takes and what it gives back: the full configuration
+ * (SimConfig) and the per-run measurements the experiments report
+ * (SimResult). The machine that turns one into the other is
+ * ChipSimulator (soc/chip.hh).
  */
 
 #ifndef DCRA_SMT_SIM_SIMULATOR_HH
 #define DCRA_SMT_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bpred/predictor.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
-#include "core/pipeline.hh"
 #include "core/smt_config.hh"
 #include "mem/memory_system.hh"
-#include "policy/factory.hh"
+#include "policy/policy_params.hh"
 #include "soc/soc_params.hh"
-#include "trace/generator.hh"
 
 namespace smt {
 
@@ -32,8 +29,8 @@ struct SimConfig
     MemParams mem;
     BpredParams bpred;
     PolicyParams policy;
-    /** Chip-level (CMP) shape; numCores == 1 leaves everything else
-     *  exactly the single-core machine (Simulator ignores soc). */
+    /** Chip-level (CMP) shape; numCores == 1 is the paper's
+     *  single-core machine, and the rest of soc is then inert. */
     SocParams soc;
     std::uint64_t seed = 0x5eed;
 };
@@ -129,101 +126,6 @@ struct SimResult
         return s;
     }
 };
-
-/**
- * One simulation instance. Construct, run once, read the result.
- */
-class Simulator
-{
-  public:
-    /**
-     * @param cfg full configuration.
-     * @param benches one profile name per hardware context; the core
-     *        config's numThreads is overridden to match.
-     * @param policyKind which policy arbitrates resources.
-     */
-    Simulator(const SimConfig &cfg,
-              const std::vector<std::string> &benches,
-              PolicyKind policyKind);
-
-    /**
-     * Same, but with a user-provided policy implementation (see
-     * examples/custom_policy.cpp).
-     */
-    Simulator(const SimConfig &cfg,
-              const std::vector<std::string> &benches,
-              std::unique_ptr<Policy> customPolicy);
-
-    ~Simulator();
-
-    /**
-     * Run until the first thread commits commitLimit instructions or
-     * maxCycles elapse (whichever is first).
-     *
-     * @param warmupCommits commits (first thread) executed before
-     *        statistics collection starts; caches, predictors and
-     *        policy state stay warm across the reset.
-     */
-    SimResult run(std::uint64_t commitLimit,
-                  Cycle maxCycles = 50'000'000,
-                  std::uint64_t warmupCommits = 0);
-
-    /**
-     * Attach a telemetry hub (nullptr detaches). Registers the
-     * pipeline's, memory system's and policy's channels; run() then
-     * samples the hub every interval and marks slow-phase
-     * transitions on the "core0" event track. Call before run().
-     */
-    void setTelemetry(TelemetryHub *hub);
-
-    /**
-     * Attach the host wall-clock profiler (--prof; nullptr
-     * detaches): the pipeline's stage scopes register unprefixed
-     * ("stage.fetch", ...) and tick() host-times 1 in
-     * prof->sampleEvery() cycles. Host times never reach SimResult.
-     * Call before run().
-     */
-    void setHostProfiler(HostProfiler *prof);
-
-    /** The pipeline, for tests that need to poke internals. */
-    Pipeline &pipeline() { return *pipe; }
-
-    /** The memory system. */
-    MemorySystem &memory() { return *mem; }
-
-    /** The policy instance. */
-    Policy &policy() { return *pol; }
-
-  private:
-    /** Pre-load caches/TLBs with the hot regions (see .cc). */
-    void prewarm();
-
-    SimConfig cfg;
-    std::vector<std::string> benchNames;
-    std::unique_ptr<MemorySystem> mem;
-    std::unique_ptr<BranchPredictor> bpred;
-    std::unique_ptr<Policy> pol;
-    std::vector<std::unique_ptr<SyntheticTraceGenerator>> gens;
-    std::unique_ptr<Pipeline> pipe;
-
-    /** @name Telemetry (null unless setTelemetry ran) */
-    /** @{ */
-    TelemetryHub *telem = nullptr;
-    int telemTrack = 0;
-    std::vector<bool> telemSlow; //!< per-thread slow-phase latch
-    /** @} */
-};
-
-/**
- * Pre-load one memory system's caches/TLBs with the hot regions of
- * @p benches (one per hardware context, with @p addrBases giving
- * each program's address-region base). Shared by Simulator and the
- * chip layer, which must warm every core exactly the way the
- * single-core machine is warmed. Ends with mem.resetStats().
- */
-void prewarmMemory(MemorySystem &mem,
-                   const std::vector<std::string> &benches,
-                   const std::vector<Addr> &addrBases);
 
 } // namespace smt
 

@@ -49,31 +49,37 @@ ChipSimulator::CtxTotals::operator+=(const CtxTotals &o)
     return *this;
 }
 
-ChipSimulator::ChipSimulator(const SimConfig &cfg_,
-                             const std::vector<std::string> &benches,
-                             PolicyKind policyKind)
-    : ChipSimulator(cfg_, benches, policyKind,
-                    makeAllocator(cfg_.soc.allocator))
+ChipSimulator::ChipSimulator(
+    const SimConfig &cfg_, const std::vector<std::string> &benches,
+    PolicyKind policyKind,
+    std::unique_ptr<ThreadToCoreAllocator> allocator)
+    : ChipSimulator(
+          cfg_, benches,
+          [policyKind, params = cfg_.policy] {
+              return makePolicy(policyKind, params);
+          },
+          std::move(allocator))
 {
 }
 
 ChipSimulator::ChipSimulator(
     const SimConfig &cfg_, const std::vector<std::string> &benches,
-    PolicyKind policyKind,
+    const PolicyMaker &policyMaker,
     std::unique_ptr<ThreadToCoreAllocator> allocator)
     : cfg(cfg_), benchNames(benches),
       nThreads(static_cast<int>(benches.size())),
-      nCores(cfg_.soc.numCores), alloc(std::move(allocator))
+      nCores(cfg_.soc.numCores),
+      alloc(allocator ? std::move(allocator)
+                      : makeAllocator(cfg_.soc.allocator))
 {
     if (nCores < 1)
         fatal("chip needs at least one core (got %d)", nCores);
-    SMT_ASSERT(alloc != nullptr, "null allocator");
     SMT_ASSERT(!benches.empty(), "empty workload");
 
-    // One core is exactly the single-core machine: context count
-    // follows the workload, as Simulator does. Multi-core chips have
-    // a fixed context capacity per core and threads move between
-    // cores, so capacity is part of the configuration.
+    // One core is the paper's machine: its context count follows the
+    // workload. Multi-core chips have a fixed context capacity per
+    // core and threads move between cores, so capacity is part of
+    // the configuration.
     nCtx = nCores == 1 ? nThreads : cfg.soc.contextsPerCore;
     if (nCtx < 1 || nCtx > maxThreads) {
         fatal("contexts per core %d out of range (1..%d)", nCtx,
@@ -85,7 +91,7 @@ ChipSimulator::ChipSimulator(
               nThreads, nCores, nCtx, nCores * nCtx);
     }
 
-    buildChip(policyKind);
+    buildChip(policyMaker);
     prewarmChip();
 }
 
@@ -95,13 +101,13 @@ ChipSimulator::~ChipSimulator()
 }
 
 void
-ChipSimulator::buildChip(PolicyKind policyKind)
+ChipSimulator::buildChip(const PolicyMaker &policyMaker)
 {
     cfg.core.numThreads = nCtx;
 
-    // Generator seeds are per software thread — the same formula as
-    // Simulator, and stable across migrations: a thread keeps its
-    // stream no matter which core it runs on.
+    // Generator seeds are per software thread, and stable across
+    // migrations: a thread keeps its stream no matter which core it
+    // runs on.
     for (int s = 0; s < nThreads; ++s) {
         const BenchProfile &prof = benchProfile(benchNames[s]);
         gens.push_back(std::make_unique<SyntheticTraceGenerator>(
@@ -159,7 +165,8 @@ ChipSimulator::buildChip(PolicyKind policyKind)
             core.mem->attachLlc(llc.get(), c);
         core.bpred =
             std::make_unique<BranchPredictor>(cfg.bpred, nCtx);
-        core.pol = makePolicy(policyKind, cfg.policy);
+        core.pol = policyMaker();
+        SMT_ASSERT(core.pol != nullptr, "null policy for core %d", c);
 
         std::vector<Pipeline::ThreadProgram> programs(
             static_cast<std::size_t>(nCtx));
@@ -182,11 +189,72 @@ ChipSimulator::buildChip(PolicyKind policyKind)
 }
 
 void
+prewarmMemory(MemorySystem &mem,
+              const std::vector<std::string> &benches,
+              const std::vector<Addr> &addrBases)
+{
+    // Traces stand for the middle of a long-running execution
+    // (SimPoint-style), so the frequently reused regions -- code,
+    // the near data set, and the L2-resident mid set -- start
+    // resident, as they would be hundreds of millions of
+    // instructions in. The far/stream regions stay cold on purpose:
+    // missing on them *is* their steady state.
+    SMT_ASSERT(benches.size() == addrBases.size(),
+               "prewarm bases/benches mismatch");
+    const int n = static_cast<int>(benches.size());
+    const int line = mem.params().l1d.lineSize;
+    const Addr page = mem.params().dtlb.pageBytes;
+
+    // Fill order matters when the combined footprints exceed the L2:
+    // least-critical first (mid), code last, and code interleaved
+    // across threads so no thread's working set is wiped wholesale.
+    for (int t = 0; t < n; ++t) {
+        const Addr base = addrBases[t];
+        const BenchProfile &prof = benchProfile(benches[t]);
+        for (Addr off = 0; off < prof.midBytes;
+             off += static_cast<Addr>(line)) {
+            mem.l2().fill(base + layout::midBase + off);
+        }
+        for (Addr off = 0; off < prof.midBytes; off += page)
+            mem.dtlb(t).access(base + layout::midBase + off);
+    }
+    for (int t = 0; t < n; ++t) {
+        const Addr base = addrBases[t];
+        const BenchProfile &prof = benchProfile(benches[t]);
+        for (Addr off = 0; off < prof.nearBytes;
+             off += static_cast<Addr>(line)) {
+            const Addr a = base + layout::nearBase + off;
+            mem.l1d().fill(a);
+            mem.l2().fill(a);
+        }
+        for (Addr off = 0; off < prof.nearBytes; off += page)
+            mem.dtlb(t).access(base + layout::nearBase + off);
+        for (Addr off = 0; off < prof.codeFootprint; off += page)
+            mem.itlb(t).access(base + layout::codeBase + off);
+    }
+    Addr maxCode = 0;
+    for (int t = 0; t < n; ++t)
+        maxCode = std::max(maxCode,
+                           benchProfile(benches[t]).codeFootprint);
+    for (Addr off = 0; off < maxCode;
+         off += static_cast<Addr>(line)) {
+        for (int t = 0; t < n; ++t) {
+            const BenchProfile &prof = benchProfile(benches[t]);
+            if (off >= prof.codeFootprint)
+                continue;
+            const Addr a = addrBases[t] + layout::codeBase + off;
+            mem.l1i().fill(a);
+            mem.l2().fill(a);
+        }
+    }
+    mem.resetStats();
+}
+
+void
 ChipSimulator::prewarmChip()
 {
-    // Each core's private hierarchy is warmed exactly the way the
-    // single-core machine is (same helper, same order), over the
-    // threads initially placed on it.
+    // Each core's private hierarchy is warmed by the same helper, in
+    // the same order, over the threads initially placed on it.
     for (int c = 0; c < nCores; ++c) {
         std::vector<std::string> benches;
         std::vector<Addr> bases;
@@ -680,7 +748,7 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
     // Everything below runs once per quantum, at its last cycle:
     // quantumLength() ends every quantum on the first cycle where
     // chipWork, the warmup check or the commit check could act, so
-    // this is exactly the per-cycle Simulator::run loop.
+    // this is exactly a loop that does all of it every cycle.
     //
     // The epoch/migration machinery runs in warmup and measurement
     // alike (it is machine behaviour, not a statistic); with one

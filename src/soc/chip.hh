@@ -1,11 +1,11 @@
 /**
  * @file
- * Chip-level simulation driver (CMP): N independent SMT cores —
- * each a full Pipeline with its own policy instance, private
- * L1s/L2, TLBs and branch predictor — in front of a shared
- * last-level cache and bus, plus a ThreadToCoreAllocator that
- * decides which software threads share a core and periodically
- * reallocates them via a drain-squash-migrate handoff.
+ * The simulated machine (CMP): N independent SMT cores — each a full
+ * Pipeline with its own policy instance, private L1s/L2, TLBs and
+ * branch predictor — in front of a shared last-level cache and bus,
+ * plus a ThreadToCoreAllocator that decides which software threads
+ * share a core and periodically reallocates them via a
+ * drain-squash-migrate handoff.
  *
  * Determinism: cores tick in core-id order inside every chip cycle,
  * migrations execute between ticks in thread-id order, and every
@@ -13,16 +13,18 @@
  * bit-reproducible (and independent of any host parallelism in the
  * sweep runner, which runs whole chips per job).
  *
- * A 1-core chip *is* the single-core machine: same construction,
- * same prewarm, same run loop, no LLC interposed — ChipSimulator
- * with numCores == 1 reproduces Simulator's results byte for byte
- * (pinned by the golden equality test).
+ * One core is the paper's machine: a single SMT core whose context
+ * count follows the workload, with no LLC interposed and nothing to
+ * migrate. Every single-core run (smtsim, sweep jobs, Hmean
+ * baselines, the figure binaries) is a 1-core ChipSimulator, pinned
+ * by the single-core golden test (tests/test_golden_stats.cc).
  */
 
 #ifndef DCRA_SMT_SOC_CHIP_HH
 #define DCRA_SMT_SOC_CHIP_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,38 +43,49 @@
 namespace smt {
 
 /**
- * One chip-level simulation instance. Construct, run once, read the
- * result (same one-shot contract as Simulator).
+ * One simulation instance. Construct, run once, read the result.
  */
 class ChipSimulator
 {
   public:
+    /** Builds one core's intra-core policy; called once per core. */
+    using PolicyMaker = std::function<std::unique_ptr<Policy>()>;
+
     /**
      * @param cfg full configuration; cfg.soc shapes the chip. With
      *        numCores == 1 the context count is forced to the
-     *        workload size (exactly what Simulator does) and no LLC
-     *        is interposed.
+     *        workload size and no LLC is interposed.
      * @param benches one profile name per software thread; at most
      *        numCores x contextsPerCore.
      * @param policyKind intra-core policy, instantiated per core.
+     * @param allocator thread-to-core allocator (tests inject one);
+     *        null builds cfg.soc.allocator.
      */
     ChipSimulator(const SimConfig &cfg,
                   const std::vector<std::string> &benches,
-                  PolicyKind policyKind);
+                  PolicyKind policyKind,
+                  std::unique_ptr<ThreadToCoreAllocator> allocator =
+                      nullptr);
 
-    /** Same, but with an injected allocator (tests). */
+    /**
+     * Same, but each core's policy comes from @p policyMaker — a
+     * user-provided implementation (see examples/custom_policy.cpp).
+     */
     ChipSimulator(const SimConfig &cfg,
                   const std::vector<std::string> &benches,
-                  PolicyKind policyKind,
-                  std::unique_ptr<ThreadToCoreAllocator> allocator);
+                  const PolicyMaker &policyMaker,
+                  std::unique_ptr<ThreadToCoreAllocator> allocator =
+                      nullptr);
 
     ~ChipSimulator();
 
     /**
      * Run until the first software thread commits commitLimit
-     * instructions or maxCycles elapse — the same termination rule,
-     * warmup handling and phase/MLP sampling as Simulator::run, so
-     * the single-core configuration is byte-identical.
+     * instructions or maxCycles elapse (whichever is first).
+     *
+     * @param warmupCommits commits (first thread) executed before
+     *        statistics collection starts; caches, predictors and
+     *        policy state stay warm across the reset.
      */
     SimResult run(std::uint64_t commitLimit,
                   Cycle maxCycles = 50'000'000,
@@ -116,6 +129,7 @@ class ChipSimulator
     int contextsPerCore() const { return nCtx; }
     Pipeline &pipeline(int core) { return *cores[core].pipe; }
     MemorySystem &memory(int core) { return *cores[core].mem; }
+    Policy &policy(int core) { return *cores[core].pol; }
     SharedCache *llcOrNull() { return llc.get(); }
     /** Core each software thread currently runs on. */
     const std::vector<int> &placement() const { return coreOf; }
@@ -172,7 +186,7 @@ class ChipSimulator
         CtxTotals attachAt; //!< current home's counters at attach
     };
 
-    void buildChip(PolicyKind policyKind);
+    void buildChip(const PolicyMaker &policyMaker);
     void prewarmChip();
     void resetAllStats();
 
@@ -297,6 +311,16 @@ class ChipSimulator
     std::vector<int> hsWorkerIdle; //!< wave.w<i>.idle (workers 1..)
     /** @} */
 };
+
+/**
+ * Pre-load one core's caches/TLBs with the hot regions of @p benches
+ * (one per hardware context, with @p addrBases giving each program's
+ * address-region base). Every core is warmed this way, over the
+ * threads initially placed on it. Ends with mem.resetStats().
+ */
+void prewarmMemory(MemorySystem &mem,
+                   const std::vector<std::string> &benches,
+                   const std::vector<Addr> &addrBases);
 
 } // namespace smt
 

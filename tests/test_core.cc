@@ -2,7 +2,7 @@
  * @file
  * Unit tests for core building blocks (register files, ROB, issue
  * queue, instruction pool, config) and pipeline-level behaviour
- * driven through the Simulator.
+ * driven through a single-core ChipSimulator.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "core/rob.hh"
 #include "core/smt_config.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -195,7 +196,7 @@ smallConfig()
 
 TEST(Pipeline, SingleThreadMakesForwardProgress)
 {
-    Simulator sim(smallConfig(), {"eon"}, PolicyKind::Icount);
+    ChipSimulator sim(smallConfig(), {"eon"}, PolicyKind::Icount);
     const SimResult r = sim.run(5000, 1'000'000);
     EXPECT_GE(r.threads[0].committed, 5000u);
     EXPECT_GT(r.threads[0].ipc, 0.3);
@@ -203,7 +204,7 @@ TEST(Pipeline, SingleThreadMakesForwardProgress)
 
 TEST(Pipeline, AllThreadsProgressUnderIcount)
 {
-    Simulator sim(smallConfig(), {"gzip", "gcc", "bzip2", "eon"},
+    ChipSimulator sim(smallConfig(), {"gzip", "gcc", "bzip2", "eon"},
                   PolicyKind::Icount);
     const SimResult r = sim.run(3000, 2'000'000);
     for (const auto &t : r.threads)
@@ -212,8 +213,8 @@ TEST(Pipeline, AllThreadsProgressUnderIcount)
 
 TEST(Pipeline, DeterministicRuns)
 {
-    Simulator a(smallConfig(), {"gzip", "twolf"}, PolicyKind::Dcra);
-    Simulator b(smallConfig(), {"gzip", "twolf"}, PolicyKind::Dcra);
+    ChipSimulator a(smallConfig(), {"gzip", "twolf"}, PolicyKind::Dcra);
+    ChipSimulator b(smallConfig(), {"gzip", "twolf"}, PolicyKind::Dcra);
     const SimResult ra = a.run(4000, 1'000'000);
     const SimResult rb = b.run(4000, 1'000'000);
     EXPECT_EQ(ra.cycles, rb.cycles);
@@ -226,7 +227,7 @@ TEST(Pipeline, DeterministicRuns)
 
 TEST(Pipeline, MispredictsAreDetectedAndRecovered)
 {
-    Simulator sim(smallConfig(), {"gzip"}, PolicyKind::Icount);
+    ChipSimulator sim(smallConfig(), {"gzip"}, PolicyKind::Icount);
     const SimResult r = sim.run(20000, 1'000'000);
     const ThreadResult &t = r.threads[0];
     EXPECT_GT(t.mispredicts, 50u);
@@ -238,7 +239,7 @@ TEST(Pipeline, MispredictsAreDetectedAndRecovered)
 
 TEST(Pipeline, BranchPredictionIsReasonable)
 {
-    Simulator sim(smallConfig(), {"wupwise"}, PolicyKind::Icount);
+    ChipSimulator sim(smallConfig(), {"wupwise"}, PolicyKind::Icount);
     const SimResult r = sim.run(30000, 2'000'000, 5000);
     const ThreadResult &t = r.threads[0];
     ASSERT_GT(t.condBranches, 500u);
@@ -249,8 +250,8 @@ TEST(Pipeline, BranchPredictionIsReasonable)
 
 TEST(Pipeline, MemBenchmarkIsMemoryBound)
 {
-    Simulator ilp(smallConfig(), {"eon"}, PolicyKind::Icount);
-    Simulator mem(smallConfig(), {"mcf"}, PolicyKind::Icount);
+    ChipSimulator ilp(smallConfig(), {"eon"}, PolicyKind::Icount);
+    ChipSimulator mem(smallConfig(), {"mcf"}, PolicyKind::Icount);
     const SimResult ri = ilp.run(10000, 2'000'000);
     const SimResult rm = mem.run(10000, 2'000'000);
     EXPECT_GT(ri.threads[0].ipc, 3.0 * rm.threads[0].ipc);
@@ -258,8 +259,8 @@ TEST(Pipeline, MemBenchmarkIsMemoryBound)
 
 TEST(Pipeline, WarmupReducesColdStartEffects)
 {
-    Simulator cold(smallConfig(), {"gzip"}, PolicyKind::Icount);
-    Simulator warm(smallConfig(), {"gzip"}, PolicyKind::Icount);
+    ChipSimulator cold(smallConfig(), {"gzip"}, PolicyKind::Icount);
+    ChipSimulator warm(smallConfig(), {"gzip"}, PolicyKind::Icount);
     const SimResult rc = cold.run(10000, 2'000'000, 0);
     const SimResult rw = warm.run(10000, 2'000'000, 10000);
     EXPECT_GE(rw.threads[0].ipc, rc.threads[0].ipc * 0.95);
@@ -267,17 +268,17 @@ TEST(Pipeline, WarmupReducesColdStartEffects)
 
 TEST(Pipeline, StoreForwardingHappens)
 {
-    Simulator sim(smallConfig(), {"vortex"}, PolicyKind::Icount);
+    ChipSimulator sim(smallConfig(), {"vortex"}, PolicyKind::Icount);
     sim.run(30000, 2'000'000);
-    EXPECT_GT(sim.pipeline().stats().storeForwards[0], 0u);
+    EXPECT_GT(sim.pipeline(0).stats().storeForwards[0], 0u);
 }
 
 TEST(Pipeline, ResourceCapLimitsOccupancy)
 {
     SimConfig cfg = smallConfig();
     cfg.core.resourceCap[ResIqInt] = 10;
-    Simulator sim(cfg, {"gzip"}, PolicyKind::Icount);
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, {"gzip"}, PolicyKind::Icount);
+    Pipeline &pipe = sim.pipeline(0);
     for (int i = 0; i < 20000; ++i) {
         pipe.tick();
         ASSERT_LE(pipe.tracker().occupancy(ResIqInt, 0), 10);
@@ -287,10 +288,10 @@ TEST(Pipeline, ResourceCapLimitsOccupancy)
 TEST(Pipeline, CappedResourceDegradesIpc)
 {
     SimConfig cfg = smallConfig();
-    Simulator full(cfg, {"gcc"}, PolicyKind::Icount);
+    ChipSimulator full(cfg, {"gcc"}, PolicyKind::Icount);
     cfg.core.resourceCap[ResIqInt] = 4;
     cfg.core.resourceCap[ResRegInt] = 12;
-    Simulator capped(cfg, {"gcc"}, PolicyKind::Icount);
+    ChipSimulator capped(cfg, {"gcc"}, PolicyKind::Icount);
     const double ipcFull = full.run(15000, 2'000'000).threads[0].ipc;
     const double ipcCap =
         capped.run(15000, 2'000'000).threads[0].ipc;
@@ -299,8 +300,8 @@ TEST(Pipeline, CappedResourceDegradesIpc)
 
 TEST(Pipeline, FpRegistersUntouchedByIntThread)
 {
-    Simulator sim(smallConfig(), {"gzip"}, PolicyKind::Icount);
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(smallConfig(), {"gzip"}, PolicyKind::Icount);
+    Pipeline &pipe = sim.pipeline(0);
     for (int i = 0; i < 5000; ++i)
         pipe.tick();
     EXPECT_EQ(pipe.tracker().occupancy(ResRegFp, 0), 0);

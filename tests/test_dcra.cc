@@ -11,6 +11,7 @@
 #include "policy/dcra.hh"
 #include "policy/sharing_model.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -357,9 +358,9 @@ TEST(DcraEndToEnd, GatesMemThreadInMixedWorkload)
 {
     SimConfig cfg;
     cfg.seed = 17;
-    Simulator sim(cfg, {"eon", "mcf"}, PolicyKind::Dcra);
-    Pipeline &pipe = sim.pipeline();
-    auto &dcra = static_cast<DcraPolicy &>(sim.policy());
+    ChipSimulator sim(cfg, {"eon", "mcf"}, PolicyKind::Dcra);
+    Pipeline &pipe = sim.pipeline(0);
+    auto &dcra = static_cast<DcraPolicy &>(sim.policy(0));
 
     std::uint64_t gatedMcf = 0, gatedEon = 0, slowMcf = 0;
     const int n = 60000;
@@ -386,8 +387,8 @@ TEST(DcraEndToEnd, ImprovesMixOverIcount)
 {
     SimConfig cfg;
     cfg.seed = 23;
-    Simulator icount(cfg, {"gzip", "twolf"}, PolicyKind::Icount);
-    Simulator dcra(cfg, {"gzip", "twolf"}, PolicyKind::Dcra);
+    ChipSimulator icount(cfg, {"gzip", "twolf"}, PolicyKind::Icount);
+    ChipSimulator dcra(cfg, {"gzip", "twolf"}, PolicyKind::Dcra);
     const SimResult ri = icount.run(60000, 8'000'000, 8000);
     const SimResult rd = dcra.run(60000, 8'000'000, 8000);
     // DCRA must win on throughput without starving either thread
@@ -477,8 +478,8 @@ TEST(DcraDeg, EndToEndRunsAndKeepsThroughput)
 {
     SimConfig cfg;
     cfg.seed = 29;
-    Simulator dcra(cfg, {"eon", "mcf"}, PolicyKind::Dcra);
-    Simulator deg(cfg, {"eon", "mcf"}, PolicyKind::DcraDeg);
+    ChipSimulator dcra(cfg, {"eon", "mcf"}, PolicyKind::Dcra);
+    ChipSimulator deg(cfg, {"eon", "mcf"}, PolicyKind::DcraDeg);
     const SimResult rd = dcra.run(20000, 4'000'000, 4000);
     const SimResult rg = deg.run(20000, 4'000'000, 4000);
     EXPECT_GT(rg.throughput(), rd.throughput() * 0.9);
@@ -496,8 +497,8 @@ TEST(SimulatorCustomPolicy, AcceptsUserPolicy)
     };
     SimConfig cfg;
     cfg.seed = 31;
-    Simulator sim(cfg, {"gzip"},
-                  std::make_unique<AlwaysAllow>());
+    ChipSimulator sim(cfg, {"gzip"},
+                      [] { return std::make_unique<AlwaysAllow>(); });
     const SimResult r = sim.run(3000, 1'000'000);
     EXPECT_GE(r.threads[0].committed, 3000u);
 }

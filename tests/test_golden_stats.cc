@@ -1,12 +1,14 @@
 /**
  * @file
- * Golden-stat determinism tests (first new test layer of the build
- * bring-up): run a short end-to-end two-thread simulation under each
- * paper policy with a fixed seed and pin the key metrics (cycles,
- * committed instructions, fetch/squash volume, flush counts) to
- * checked-in golden values. Any behavioural change to the pipeline,
- * the memory system, the trace generator or a policy shows up here
- * as an exact-value diff.
+ * Golden-stat determinism tests: the single-core reference. Each row
+ * runs a short end-to-end two-thread simulation of the paper's
+ * machine (one SMT core) under one policy with a fixed seed, and
+ * pins every field of the result to checked-in golden values: cycles,
+ * every per-thread counter (commit, fetch and wrong-path fetch,
+ * squash, branch, mispredict, flush, L1D/L2 traffic), the slow-phase
+ * histogram and the MLP mean, the last compared exactly. Any
+ * behavioural change to the pipeline, the memory system, the trace
+ * generator or a policy shows up here as an exact-value diff.
  *
  * Regenerating after an intentional change:
  *
@@ -21,82 +23,125 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
 using namespace smt;
 
-/** The fixed scenario every golden row pins. */
+/** The fixed budget every golden row runs. */
 constexpr std::uint64_t goldenCommits = 3000;
 constexpr Cycle goldenMaxCycles = 2'000'000;
 
-const std::vector<std::string> &
-goldenBenches()
+/** One thread's pinned counters, in ThreadResult's field order. */
+struct GoldenThread
 {
-    static const std::vector<std::string> b = {"gzip", "mcf"};
-    return b;
-}
-
-SimResult
-runGolden(PolicyKind policy)
-{
-    SimConfig cfg; // paper-baseline defaults, default seed
-    Simulator sim(cfg, goldenBenches(), policy);
-    return sim.run(goldenCommits, goldenMaxCycles);
-}
+    std::uint64_t committed;
+    std::uint64_t fetched;
+    std::uint64_t fetchedWrongPath;
+    std::uint64_t squashed;
+    std::uint64_t condBranches;
+    std::uint64_t mispredicts;
+    std::uint64_t flushes;
+    std::uint64_t l1dAccesses;
+    std::uint64_t l1dMisses;
+    std::uint64_t l2Accesses;
+    std::uint64_t l2Misses;
+};
 
 struct GoldenRow
 {
     PolicyKind policy;
+    const char *benches[2];
+    std::uint64_t warmup;
     Cycle cycles;
-    std::uint64_t committed[2];
-    std::uint64_t fetched[2];
-    std::uint64_t squashed[2];
-    std::uint64_t flushes[2];
+    GoldenThread threads[2];
+    /** Cycles with n threads in a slow phase, n = 0..2. */
+    std::uint64_t slowPhaseCycles[3];
+    double mlpBusyMean;
 };
 
+SimResult
+runGolden(const GoldenRow &row)
+{
+    SimConfig cfg; // paper-baseline defaults, default seed
+    ChipSimulator chip(cfg, {row.benches[0], row.benches[1]},
+                       row.policy);
+    return chip.run(goldenCommits, goldenMaxCycles, row.warmup);
+}
+
 /**
- * Golden values for the scenario above, regenerated with
+ * Golden values for the scenarios above, regenerated with
  * SMT_PRINT_GOLDEN=1 (see file header). Covers the five headline
- * policies of the paper's evaluation.
+ * policies of the paper's evaluation, plus a warmed-up run.
  */
 const std::vector<GoldenRow> &
 goldenRows()
 {
     static const std::vector<GoldenRow> rows = {
-        {PolicyKind::Icount, 10898, {3000, 1264}, {5002, 4684},
-         {1853, 3299}, {0, 0}},
-        {PolicyKind::Flush, 11235, {3000, 1088}, {5917, 5201},
-         {2828, 4037}, {19, 13}},
-        {PolicyKind::FlushPp, 8311, {3000, 993}, {4792, 3635},
-         {1710, 2333}, {0, 0}},
-        {PolicyKind::Sra, 7320, {3000, 1018}, {5108, 3447},
-         {2019, 2330}, {0, 0}},
-        {PolicyKind::Dcra, 7115, {3000, 993}, {4985, 3152},
-         {1896, 1942}, {0, 0}},
+        {PolicyKind::Icount, {"gzip", "mcf"}, 0, 10898,
+         {{3000, 5002, 1968, 1853, 429, 33, 0, 1329, 75, 72, 69},
+          {1264, 4684, 3383, 3299, 149, 32, 0, 1043, 249, 245, 53}},
+         {131, 4170, 6597}, 3.3188666729839857},
+        {PolicyKind::Flush, {"gzip", "mcf"}, 0, 11235,
+         {{3000, 5917, 2034, 2828, 543, 39, 19, 1354, 71, 69, 67},
+          {1088, 5201, 3565, 4037, 186, 28, 13, 1032, 232, 227, 43}},
+         {114, 2778, 8343}, 2.8241527359093817},
+        {PolicyKind::FlushPp, {"gzip", "mcf"}, 0, 8311,
+         {{3000, 4792, 1758, 1710, 429, 34, 0, 1299, 70, 69, 67},
+          {993, 3635, 2634, 2333, 114, 22, 0, 806, 201, 199, 38}},
+         {62, 1676, 6573}, 3.5744835965978128},
+        {PolicyKind::Sra, {"gzip", "mcf"}, 0, 7320,
+         {{3000, 5108, 2074, 2019, 429, 34, 0, 1330, 70, 69, 68},
+          {1018, 3447, 2330, 2330, 126, 22, 0, 805, 199, 196, 41}},
+         {31, 597, 6692}, 4.1620580547530608},
+        {PolicyKind::Dcra, {"gzip", "mcf"}, 0, 7115,
+         {{3000, 4985, 1951, 1896, 429, 34, 0, 1368, 69, 68, 67},
+          {993, 3152, 2151, 1942, 114, 22, 0, 750, 197, 196, 38}},
+         {43, 729, 6343}, 4.103964632059327},
+        {PolicyKind::Dcra, {"gzip", "twolf"}, 500, 5610,
+         {{2762, 4070, 1485, 1473, 361, 23, 0, 1152, 62, 59, 53},
+          {3000, 6753, 3882, 3914, 439, 51, 0, 1649, 175, 175, 10}},
+         {56, 1429, 4125}, 2.5560859188544152},
     };
     return rows;
+}
+
+/** The pinned counters of a ThreadResult or a GoldenThread. */
+template <class Thread>
+std::vector<std::uint64_t>
+counters(const Thread &t)
+{
+    return {t.committed,  t.fetched,      t.fetchedWrongPath,
+            t.squashed,   t.condBranches, t.mispredicts,
+            t.flushes,    t.l1dAccesses,  t.l1dMisses,
+            t.l2Accesses, t.l2Misses};
+}
+
+std::string
+rowName(const GoldenRow &row)
+{
+    return std::string(policyKindName(row.policy)) + " " +
+        row.benches[0] + "," + row.benches[1] + " warmup " +
+        std::to_string(row.warmup);
 }
 
 TEST(GoldenStats, MatchesCheckedInValues)
 {
     for (const GoldenRow &row : goldenRows()) {
-        const SimResult r = runGolden(row.policy);
-        const char *name = policyKindName(row.policy);
+        const SimResult r = runGolden(row);
+        const std::string name = rowName(row);
         EXPECT_EQ(r.cycles, row.cycles) << name;
         ASSERT_EQ(r.threads.size(), 2u) << name;
         for (int t = 0; t < 2; ++t) {
-            EXPECT_EQ(r.threads[t].committed, row.committed[t])
-                << name << " thread " << t;
-            EXPECT_EQ(r.threads[t].fetched, row.fetched[t])
-                << name << " thread " << t;
-            EXPECT_EQ(r.threads[t].squashed, row.squashed[t])
-                << name << " thread " << t;
-            EXPECT_EQ(r.threads[t].flushes, row.flushes[t])
+            EXPECT_EQ(r.threads[t].bench, row.benches[t]) << name;
+            EXPECT_EQ(counters(r.threads[t]), counters(row.threads[t]))
                 << name << " thread " << t;
             // IPC is derived from the pinned integers, so it only
             // needs a consistency check, not its own golden.
@@ -106,42 +151,49 @@ TEST(GoldenStats, MatchesCheckedInValues)
                     static_cast<double>(r.cycles))
                 << name << " thread " << t;
         }
+        EXPECT_EQ(r.slowPhaseCycles,
+                  std::vector<std::uint64_t>(
+                      std::begin(row.slowPhaseCycles),
+                      std::end(row.slowPhaseCycles)))
+            << name;
+        EXPECT_TRUE(r.mlpBusyMean == row.mlpBusyMean) // bitwise
+            << name << ": " << fmtDoubleExact(r.mlpBusyMean);
+        // Single-core results carry no chip extras (the sweep JSON
+        // for one core must keep its pre-CMP bytes).
+        EXPECT_TRUE(r.coreCommitHashes.empty()) << name;
+        EXPECT_EQ(r.migrations, 0u) << name;
+        EXPECT_TRUE(r.llcPerCore.empty()) << name;
     }
 }
 
 TEST(GoldenStats, BitDeterministicAcrossRuns)
 {
     for (const GoldenRow &row : goldenRows()) {
-        const SimResult a = runGolden(row.policy);
-        const SimResult b = runGolden(row.policy);
-        const char *name = policyKindName(row.policy);
+        const SimResult a = runGolden(row);
+        const SimResult b = runGolden(row);
+        const std::string name = rowName(row);
         EXPECT_EQ(a.cycles, b.cycles) << name;
         EXPECT_TRUE(a.mlpBusyMean == b.mlpBusyMean) << name;
         ASSERT_EQ(a.threads.size(), b.threads.size()) << name;
         for (std::size_t t = 0; t < a.threads.size(); ++t) {
-            EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
-            EXPECT_EQ(a.threads[t].fetched, b.threads[t].fetched);
-            EXPECT_EQ(a.threads[t].fetchedWrongPath,
-                      b.threads[t].fetchedWrongPath);
-            EXPECT_EQ(a.threads[t].squashed, b.threads[t].squashed);
-            EXPECT_EQ(a.threads[t].condBranches,
-                      b.threads[t].condBranches);
-            EXPECT_EQ(a.threads[t].mispredicts,
-                      b.threads[t].mispredicts);
-            EXPECT_EQ(a.threads[t].flushes, b.threads[t].flushes);
-            EXPECT_EQ(a.threads[t].l1dAccesses,
-                      b.threads[t].l1dAccesses);
-            EXPECT_EQ(a.threads[t].l1dMisses, b.threads[t].l1dMisses);
-            EXPECT_EQ(a.threads[t].l2Accesses,
-                      b.threads[t].l2Accesses);
-            EXPECT_EQ(a.threads[t].l2Misses, b.threads[t].l2Misses);
+            EXPECT_EQ(counters(a.threads[t]), counters(b.threads[t]))
+                << name << " thread " << t;
             // Doubles must be bit-identical, not merely close.
             EXPECT_TRUE(a.threads[t].ipc == b.threads[t].ipc) << name;
         }
-        ASSERT_EQ(a.slowPhaseCycles.size(), b.slowPhaseCycles.size());
-        for (std::size_t n = 0; n < a.slowPhaseCycles.size(); ++n)
-            EXPECT_EQ(a.slowPhaseCycles[n], b.slowPhaseCycles[n]);
+        EXPECT_EQ(a.slowPhaseCycles, b.slowPhaseCycles) << name;
     }
+}
+
+/** Print @p v as a brace list of integers. */
+void
+printList(const std::vector<std::uint64_t> &v)
+{
+    std::printf("{");
+    for (std::size_t i = 0; i < v.size(); ++i)
+        std::printf("%s%llu", i ? ", " : "",
+                    static_cast<unsigned long long>(v[i]));
+    std::printf("}");
 }
 
 TEST(GoldenStats, PrintCurrent)
@@ -152,9 +204,9 @@ TEST(GoldenStats, PrintCurrent)
         return;
     }
     for (const GoldenRow &row : goldenRows()) {
-        const SimResult r = runGolden(row.policy);
-        std::printf("        {PolicyKind::%s, %llu, {%llu, %llu}, "
-                    "{%llu, %llu}, {%llu, %llu}, {%llu, %llu}},\n",
+        const SimResult r = runGolden(row);
+        std::printf("        {PolicyKind::%s, {\"%s\", \"%s\"}, %llu, "
+                    "%llu,\n         {",
                     [](PolicyKind k) {
                         switch (k) {
                           case PolicyKind::Icount: return "Icount";
@@ -165,23 +217,17 @@ TEST(GoldenStats, PrintCurrent)
                           default: return "?";
                         }
                     }(row.policy),
-                    static_cast<unsigned long long>(r.cycles),
-                    static_cast<unsigned long long>(
-                        r.threads[0].committed),
-                    static_cast<unsigned long long>(
-                        r.threads[1].committed),
-                    static_cast<unsigned long long>(
-                        r.threads[0].fetched),
-                    static_cast<unsigned long long>(
-                        r.threads[1].fetched),
-                    static_cast<unsigned long long>(
-                        r.threads[0].squashed),
-                    static_cast<unsigned long long>(
-                        r.threads[1].squashed),
-                    static_cast<unsigned long long>(
-                        r.threads[0].flushes),
-                    static_cast<unsigned long long>(
-                        r.threads[1].flushes));
+                    row.benches[0], row.benches[1],
+                    static_cast<unsigned long long>(row.warmup),
+                    static_cast<unsigned long long>(r.cycles));
+        printList(counters(r.threads[0]));
+        std::printf(",\n          ");
+        printList(counters(r.threads[1]));
+        std::printf("},\n         ");
+        printList(r.slowPhaseCycles);
+        // fmtDoubleExact round-trips every double exactly.
+        std::printf(", %s},\n",
+                    fmtDoubleExact(r.mlpBusyMean).c_str());
     }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -23,11 +24,11 @@ milestones(PolicyKind k, const std::vector<std::string> &benches,
 {
     SimConfig cfg;
     cfg.seed = 1234;
-    Simulator sim(cfg, benches, k);
+    ChipSimulator sim(cfg, benches, k);
     sim.run(commits, 8'000'000);
     std::vector<std::vector<std::uint64_t>> out;
     for (std::size_t t = 0; t < benches.size(); ++t)
-        out.push_back(sim.pipeline().stats().commitMilestones[t]);
+        out.push_back(sim.pipeline(0).stats().commitMilestones[t]);
     return out;
 }
 
@@ -95,7 +96,7 @@ TEST(Integration, AllPoliciesRunAllWorkloadSizes)
     cfg.seed = 77;
     for (PolicyKind k : kinds) {
         for (const auto &w : workloads) {
-            Simulator sim(cfg, w, k);
+            ChipSimulator sim(cfg, w, k);
             // warm up across the cold start, then measure long
             // enough for slow threads under gating policies
             const SimResult r = sim.run(10000, 8'000'000, 4000);
@@ -114,8 +115,8 @@ TEST(Integration, IcountBeatsRoundRobin)
 {
     SimConfig cfg;
     cfg.seed = 31;
-    Simulator rr(cfg, {"gzip", "twolf"}, PolicyKind::RoundRobin);
-    Simulator ic(cfg, {"gzip", "twolf"}, PolicyKind::Icount);
+    ChipSimulator rr(cfg, {"gzip", "twolf"}, PolicyKind::RoundRobin);
+    ChipSimulator ic(cfg, {"gzip", "twolf"}, PolicyKind::Icount);
     const double thrRr = rr.run(20000, 4'000'000, 4000).throughput();
     const double thrIc = ic.run(20000, 4'000'000, 4000).throughput();
     EXPECT_GT(thrIc, thrRr * 0.95)
@@ -128,8 +129,8 @@ TEST(Integration, DcraGivesMemThreadMoreMlpThanFlush)
     // loads, raising memory parallelism relative to FLUSH++.
     SimConfig cfg;
     cfg.seed = 13;
-    Simulator flush(cfg, {"gzip", "mcf"}, PolicyKind::FlushPp);
-    Simulator dcra(cfg, {"gzip", "mcf"}, PolicyKind::Dcra);
+    ChipSimulator flush(cfg, {"gzip", "mcf"}, PolicyKind::FlushPp);
+    ChipSimulator dcra(cfg, {"gzip", "mcf"}, PolicyKind::Dcra);
     const SimResult rf = flush.run(15000, 6'000'000, 3000);
     const SimResult rd = dcra.run(15000, 6'000'000, 3000);
     EXPECT_GE(rd.mlpBusyMean, rf.mlpBusyMean * 0.95);
@@ -141,8 +142,8 @@ TEST(Integration, FlushFrontEndOverheadExceedsDcra)
     // must visibly exceed DCRA's on a memory-bound workload.
     SimConfig cfg;
     cfg.seed = 13;
-    Simulator flush(cfg, {"mcf", "art"}, PolicyKind::Flush);
-    Simulator dcra(cfg, {"mcf", "art"}, PolicyKind::Dcra);
+    ChipSimulator flush(cfg, {"mcf", "art"}, PolicyKind::Flush);
+    ChipSimulator dcra(cfg, {"mcf", "art"}, PolicyKind::Dcra);
     const SimResult rf = flush.run(6000, 6'000'000);
     const SimResult rd = dcra.run(6000, 6'000'000);
     const double perCommitF =
@@ -161,7 +162,7 @@ TEST(Integration, PerfectDcacheRemovesSlowPhases)
     SimConfig cfg;
     cfg.seed = 9;
     cfg.mem.perfectDcache = true;
-    Simulator sim(cfg, {"mcf"}, PolicyKind::Icount);
+    ChipSimulator sim(cfg, {"mcf"}, PolicyKind::Icount);
     const SimResult r = sim.run(10000, 2'000'000);
     EXPECT_EQ(r.slowPhaseCycles.size(), 2u);
     EXPECT_EQ(r.slowPhaseCycles[1], 0u)
@@ -179,8 +180,8 @@ TEST(Integration, MemoryLatencyScalesMemPenalty)
     SimConfig hi = lo;
     hi.mem.memLatency = 500;
     hi.mem.l2Latency = 25;
-    Simulator a(lo, {"art"}, PolicyKind::Icount);
-    Simulator b(hi, {"art"}, PolicyKind::Icount);
+    ChipSimulator a(lo, {"art"}, PolicyKind::Icount);
+    ChipSimulator b(hi, {"art"}, PolicyKind::Icount);
     const double ipcLo = a.run(8000, 4'000'000).threads[0].ipc;
     const double ipcHi = b.run(8000, 4'000'000).threads[0].ipc;
     EXPECT_GT(ipcLo, ipcHi * 1.3);
@@ -193,8 +194,8 @@ TEST(Integration, LargerRegisterFileHelpsMemWorkload)
     small.core.physRegsPerFile = 320;
     SimConfig big = small;
     big.core.physRegsPerFile = 384;
-    Simulator a(small, {"art", "mcf"}, PolicyKind::Icount);
-    Simulator b(big, {"art", "mcf"}, PolicyKind::Icount);
+    ChipSimulator a(small, {"art", "mcf"}, PolicyKind::Icount);
+    ChipSimulator b(big, {"art", "mcf"}, PolicyKind::Icount);
     const double thrSmall = a.run(6000, 6'000'000).throughput();
     const double thrBig = b.run(6000, 6'000'000).throughput();
     EXPECT_GE(thrBig, thrSmall * 0.95);

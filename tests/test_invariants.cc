@@ -18,6 +18,7 @@
 #include "policy/dcra.hh"
 #include "policy/sharing_model.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -89,8 +90,8 @@ TEST_P(OccupancyCaps, NeverExceededWhileRunning)
     cfg.seed = 0xCA95;
     const std::vector<std::string> benches = {"gzip", "mcf", "art",
                                               "crafty"};
-    Simulator sim(cfg, benches, GetParam());
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, benches, GetParam());
+    Pipeline &pipe = sim.pipeline(0);
     const SmtConfig &core = pipe.config();
 
     for (int i = 0; i < 8000; ++i) {
@@ -168,8 +169,8 @@ TEST_P(WakeupStructures, ExactlyOneHomePerWaitingInstruction)
 {
     SimConfig cfg;
     cfg.seed = 0x3ACE;
-    Simulator sim(cfg, {"gzip", "mcf", "art", "crafty"}, GetParam());
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, {"gzip", "mcf", "art", "crafty"}, GetParam());
+    Pipeline &pipe = sim.pipeline(0);
 
     for (int i = 0; i < 4000; ++i) {
         pipe.tick();
@@ -337,9 +338,9 @@ TEST(DcraPolicyRuntime, LimitsAndGatingConsistent)
 {
     SimConfig cfg;
     cfg.seed = 0xD0C4;
-    Simulator sim(cfg, {"mcf", "gzip"}, PolicyKind::Dcra);
-    auto &dcra = dynamic_cast<DcraPolicy &>(sim.policy());
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, {"mcf", "gzip"}, PolicyKind::Dcra);
+    auto &dcra = dynamic_cast<DcraPolicy &>(sim.policy(0));
+    Pipeline &pipe = sim.pipeline(0);
     const SmtConfig &core = pipe.config();
 
     for (int i = 0; i < 6000; ++i) {

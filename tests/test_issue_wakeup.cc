@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -98,10 +99,10 @@ TEST(IssueWakeupGolden, FourThreadMixByteIdenticalToSeed)
 {
     for (const WakeupGoldenRow &row : wakeupGoldenRows()) {
         SimConfig cfg; // paper baseline, default seed
-        Simulator sim(cfg, wakeupBenches(), row.policy);
+        ChipSimulator sim(cfg, wakeupBenches(), row.policy);
         const SimResult r =
             sim.run(wakeupGoldenCommits, wakeupGoldenMaxCycles);
-        const PipelineStats &ps = sim.pipeline().stats();
+        const PipelineStats &ps = sim.pipeline(0).stats();
         const char *name = policyKindName(row.policy);
 
         EXPECT_EQ(r.cycles, row.cycles) << name;
@@ -119,7 +120,7 @@ TEST(IssueWakeupGolden, FourThreadMixByteIdenticalToSeed)
                 << name << " thread " << t;
         }
         // The structural bookkeeping must also be clean at the end.
-        sim.pipeline().auditInvariants();
+        sim.pipeline(0).auditInvariants();
     }
 }
 
@@ -132,10 +133,10 @@ TEST(IssueWakeupGolden, PrintCurrent)
     }
     for (const PolicyKind policy : wakeupPolicies()) {
         SimConfig cfg;
-        Simulator sim(cfg, wakeupBenches(), policy);
+        ChipSimulator sim(cfg, wakeupBenches(), policy);
         const SimResult r =
             sim.run(wakeupGoldenCommits, wakeupGoldenMaxCycles);
-        const PipelineStats &ps = sim.pipeline().stats();
+        const PipelineStats &ps = sim.pipeline(0).stats();
         std::printf(
             "        {PolicyKind::%s, %llu,\n"
             "         {%llu, %llu, %llu, %llu},\n"

@@ -19,6 +19,7 @@
 #include "policy/sra.hh"
 #include "policy/stall.hh"
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -357,11 +358,11 @@ TEST(PolicyEndToEnd, StallReducesMemThreadResourceHold)
 {
     SimConfig cfg;
     cfg.seed = 5;
-    Simulator icount(cfg, {"eon", "mcf"}, PolicyKind::Icount);
-    Simulator stall(cfg, {"eon", "mcf"}, PolicyKind::Stall);
+    ChipSimulator icount(cfg, {"eon", "mcf"}, PolicyKind::Icount);
+    ChipSimulator stall(cfg, {"eon", "mcf"}, PolicyKind::Stall);
 
-    auto avgOcc = [](Simulator &s) {
-        Pipeline &pipe = s.pipeline();
+    auto avgOcc = [](ChipSimulator &s) {
+        Pipeline &pipe = s.pipeline(0);
         double occ = 0.0;
         const int n = 30000;
         for (int i = 0; i < n; ++i) {
@@ -380,7 +381,7 @@ TEST(PolicyEndToEnd, FlushSquashesAndRefetches)
 {
     SimConfig cfg;
     cfg.seed = 6;
-    Simulator sim(cfg, {"eon", "mcf"}, PolicyKind::Flush);
+    ChipSimulator sim(cfg, {"eon", "mcf"}, PolicyKind::Flush);
     const SimResult r = sim.run(8000, 2'000'000);
     // mcf has many L2 misses -> flushes must have happened
     EXPECT_GT(r.threads[1].flushes, 10u);

@@ -261,11 +261,11 @@ TEST(ProfSim, AttachingAProfilerPerturbsNothing)
 {
     const std::vector<std::string> benches = {"gzip", "mcf"};
     SimConfig cfg;
-    Simulator bare(cfg, benches, PolicyKind::Dcra);
+    ChipSimulator bare(cfg, benches, PolicyKind::Dcra);
     const SimResult a = bare.run(3000, 2'000'000);
 
     HostProfiler prof(16);
-    Simulator timed(cfg, benches, PolicyKind::Dcra);
+    ChipSimulator timed(cfg, benches, PolicyKind::Dcra);
     timed.setHostProfiler(&prof);
     const SimResult b = timed.run(3000, 2'000'000);
 
@@ -275,18 +275,23 @@ TEST(ProfSim, AttachingAProfilerPerturbsNothing)
         EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
         EXPECT_DOUBLE_EQ(a.threads[t].ipc, b.threads[t].ipc);
     }
-    // The profiler timed every pipeline stage on exactly the sampled
-    // ticks: 1 in 16 of them.
-    int stages = 0;
+    // The profiler timed the core's tick and every pipeline stage on
+    // exactly the sampled ticks: 1 in 16 of them. A single core's
+    // scopes carry the chip's "c0." prefix like any other core's.
+    int stages = 0, ticks = 0;
     for (std::size_t s = 0; s < prof.scopeCount(); ++s) {
         const int id = static_cast<int>(s);
-        if (prof.scopeName(id).rfind("stage.", 0) != 0)
+        const std::string &name = prof.scopeName(id);
+        if (name.rfind("c0.stage.", 0) == 0)
+            ++stages;
+        else if (name == "c0.tick")
+            ++ticks;
+        else
             continue;
-        ++stages;
-        EXPECT_EQ(prof.scopeHits(id), b.cycles / 16)
-            << prof.scopeName(id);
+        EXPECT_EQ(prof.scopeHits(id), b.cycles / 16) << name;
     }
     EXPECT_EQ(stages, 8);
+    EXPECT_EQ(ticks, 1);
 }
 
 SimConfig

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -44,8 +45,8 @@ TEST_P(PipelineInvariants, HoldContinuously)
     const auto [policy, widx] = GetParam();
     SimConfig cfg;
     cfg.seed = 0xABCD + widx;
-    Simulator sim(cfg, propertyWorkloads()[widx], policy);
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, propertyWorkloads()[widx], policy);
+    Pipeline &pipe = sim.pipeline(0);
     for (int i = 0; i < 12000; ++i) {
         pipe.tick();
         if (i % 64 == 0)
@@ -60,7 +61,7 @@ TEST_P(PipelineInvariants, StatsConservation)
     SimConfig cfg;
     cfg.seed = 0xBEEF + widx;
     const auto &benches = propertyWorkloads()[widx];
-    Simulator sim(cfg, benches, policy);
+    ChipSimulator sim(cfg, benches, policy);
     const SimResult r = sim.run(4000, 2'000'000);
     for (std::size_t t = 0; t < benches.size(); ++t) {
         const ThreadResult &tr = r.threads[t];

@@ -272,6 +272,23 @@ TEST(BaselineCache, NumThreadsDoesNotSplitTheKey)
     EXPECT_EQ(cache.computeCount(), 1u);
 }
 
+TEST(BaselineCache, DefaultBaselineIgnoresChipShape)
+{
+    // The cache key leaves cfg.soc out, so the default producer must
+    // run the bench alone on one core whatever chip the grid point
+    // shapes; otherwise every --cores N sweep's Hmean would change.
+    SimConfig chip;
+    chip.soc.numCores = 4;
+    chip.soc.contextsPerCore = 2;
+    chip.soc.llcArbiter = "chip-dcra";
+    BaselineCache chipCache;
+    BaselineCache plainCache;
+    const double a = chipCache.ipc(chip, "mcf", 2000, 0);
+    const double b = plainCache.ipc(SimConfig{}, "mcf", 2000, 0);
+    EXPECT_TRUE(a == b) // bitwise
+        << fmtDoubleExact(a) << " vs " << fmtDoubleExact(b);
+}
+
 TEST(BaselineCache, FailedComputeIsRetriedNotPoisoned)
 {
     std::atomic<int> calls{0};

@@ -13,6 +13,7 @@
 #include "sim/metrics.hh"
 #include "sim/simulator.hh"
 #include "sim/workload.hh"
+#include "soc/chip.hh"
 #include "trace/bench_profile.hh"
 
 namespace {
@@ -123,11 +124,11 @@ TEST(Metrics, ImprovementPct)
     EXPECT_DOUBLE_EQ(improvementPct(1.0, 0.0), 0.0);
 }
 
-TEST(Simulator, ThreadResultAccounting)
+TEST(SingleCoreRun, ThreadResultAccounting)
 {
     SimConfig cfg;
     cfg.seed = 3;
-    Simulator sim(cfg, {"gzip", "twolf"}, PolicyKind::Icount);
+    ChipSimulator sim(cfg, {"gzip", "twolf"}, PolicyKind::Icount);
     const SimResult r = sim.run(5000, 1'000'000);
     ASSERT_EQ(r.threads.size(), 2u);
     EXPECT_EQ(r.threads[0].bench, "gzip");
@@ -146,22 +147,22 @@ TEST(Simulator, ThreadResultAccounting)
     EXPECT_NEAR(r.throughput(), thr, 1e-12);
 }
 
-TEST(Simulator, StopsAtFirstThreadReachingLimit)
+TEST(SingleCoreRun, StopsAtFirstThreadReachingLimit)
 {
     SimConfig cfg;
     cfg.seed = 3;
-    Simulator sim(cfg, {"eon", "mcf"}, PolicyKind::Icount);
+    ChipSimulator sim(cfg, {"eon", "mcf"}, PolicyKind::Icount);
     const SimResult r = sim.run(4000, 5'000'000);
     // eon is much faster; it must be the one that hit the limit
     EXPECT_GE(r.threads[0].committed, 4000u);
     EXPECT_LT(r.threads[1].committed, 4000u);
 }
 
-TEST(Simulator, SlowPhaseCyclesSumToTotal)
+TEST(SingleCoreRun, SlowPhaseCyclesSumToTotal)
 {
     SimConfig cfg;
     cfg.seed = 4;
-    Simulator sim(cfg, {"gzip", "art"}, PolicyKind::Icount);
+    ChipSimulator sim(cfg, {"gzip", "art"}, PolicyKind::Icount);
     const SimResult r = sim.run(5000, 1'000'000);
     std::uint64_t sum = 0;
     for (const auto c : r.slowPhaseCycles)
@@ -169,12 +170,12 @@ TEST(Simulator, SlowPhaseCyclesSumToTotal)
     EXPECT_EQ(sum, r.cycles);
 }
 
-TEST(Simulator, MemWorkloadSpendsMoreCyclesAllSlow)
+TEST(SingleCoreRun, MemWorkloadSpendsMoreCyclesAllSlow)
 {
     SimConfig cfg;
     cfg.seed = 4;
-    Simulator ilp(cfg, {"gzip", "eon"}, PolicyKind::Icount);
-    Simulator mem(cfg, {"mcf", "art"}, PolicyKind::Icount);
+    ChipSimulator ilp(cfg, {"gzip", "eon"}, PolicyKind::Icount);
+    ChipSimulator mem(cfg, {"mcf", "art"}, PolicyKind::Icount);
     const SimResult ri = ilp.run(8000, 2'000'000, 2000);
     const SimResult rm = mem.run(8000, 2'000'000, 2000);
     const double fracIlp =

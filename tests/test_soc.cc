@@ -4,12 +4,11 @@
  * allocators (deterministic placement, symbiosis pairing, SYNPA
  * score balancing, placement canonicalization), the shared LLC's
  * bus/MSHR arbitration, the drain-squash-migrate handoff (invariant
- * audits under forced migrations), the 1-core-equals-single-core
- * golden equality, a checked-in 2-core golden (per-core
- * commit-stream hashes and slow-phase histogram), the lookahead
- * quanta of the parallel tick (every horizon cap, and long runs equal
- * to one-cycle quanta at every --chip-jobs value), and sweep-level
- * determinism across --jobs values.
+ * audits under forced migrations), a checked-in 2-core golden
+ * (per-core commit-stream hashes and slow-phase histogram), the
+ * lookahead quanta of the parallel tick (every horizon cap, and long
+ * runs equal to one-cycle quanta at every --chip-jobs value), and
+ * sweep-level determinism across --jobs values.
  *
  * Regenerating the 2-core golden after an intentional change:
  *
@@ -446,7 +445,7 @@ TEST(SharedCache, MshrBackpressureAtExactShareBoundary)
 }
 
 // ---------------------------------------------------------------
-// 1-core chip == single-core machine (golden equality)
+// Result equality (the single-core reference is test_golden_stats)
 // ---------------------------------------------------------------
 
 void
@@ -477,40 +476,6 @@ expectSameResult(const SimResult &a, const SimResult &b,
     for (std::size_t n = 0; n < a.slowPhaseCycles.size(); ++n)
         EXPECT_EQ(a.slowPhaseCycles[n], b.slowPhaseCycles[n]) << what;
     EXPECT_TRUE(a.mlpBusyMean == b.mlpBusyMean) << what; // bitwise
-}
-
-TEST(OneCoreChip, MatchesSimulatorByteForByte)
-{
-    const std::vector<std::string> benches = {"gzip", "mcf"};
-    for (const PolicyKind pk :
-         {PolicyKind::Icount, PolicyKind::Flush, PolicyKind::FlushPp,
-          PolicyKind::Sra, PolicyKind::Dcra}) {
-        SimConfig cfg; // paper baseline, default seed
-        Simulator sim(cfg, benches, pk);
-        const SimResult a = sim.run(3000, 2'000'000);
-
-        SimConfig ccfg;
-        ccfg.soc.numCores = 1; // explicit: the 1-core chip
-        ChipSimulator chip(ccfg, benches, pk);
-        const SimResult b = chip.run(3000, 2'000'000);
-
-        expectSameResult(a, b, policyKindName(pk));
-        // Single-core results carry no chip extras (the sweep JSON
-        // for --cores 1 must keep its pre-CMP bytes).
-        EXPECT_TRUE(b.coreCommitHashes.empty());
-        EXPECT_EQ(b.migrations, 0u);
-    }
-}
-
-TEST(OneCoreChip, MatchesSimulatorWithWarmup)
-{
-    const std::vector<std::string> benches = {"gzip", "twolf"};
-    SimConfig cfg;
-    Simulator sim(cfg, benches, PolicyKind::Dcra);
-    const SimResult a = sim.run(2000, 2'000'000, 500);
-    ChipSimulator chip(cfg, benches, PolicyKind::Dcra);
-    const SimResult b = chip.run(2000, 2'000'000, 500);
-    expectSameResult(a, b, "DCRA+warmup");
 }
 
 // ---------------------------------------------------------------

@@ -274,11 +274,11 @@ TEST(TelemetrySim, AttachingAHubPerturbsNothing)
 {
     const std::vector<std::string> benches = {"gzip", "mcf"};
     SimConfig cfg;
-    Simulator bare(cfg, benches, PolicyKind::Dcra);
+    ChipSimulator bare(cfg, benches, PolicyKind::Dcra);
     const SimResult a = bare.run(3000, 2'000'000);
 
     TelemetryHub hub(500);
-    Simulator traced(cfg, benches, PolicyKind::Dcra);
+    ChipSimulator traced(cfg, benches, PolicyKind::Dcra);
     traced.setTelemetry(&hub);
     const SimResult b = traced.run(3000, 2'000'000);
 
@@ -289,6 +289,12 @@ TEST(TelemetrySim, AttachingAHubPerturbsNothing)
         EXPECT_DOUBLE_EQ(a.threads[t].ipc, b.threads[t].ipc);
     }
     EXPECT_GT(hub.sampleCount(), 0u);
+    // A single core's channels carry the chip's "c0." prefix, next
+    // to the chip-level per-thread IPC.
+    const std::string ts = hub.renderTimeSeries();
+    const std::string header = ts.substr(0, ts.find('\n'));
+    EXPECT_NE(header.find("\"c0.t0.ipc\""), std::string::npos) << header;
+    EXPECT_NE(header.find("\"t0.ipc\""), std::string::npos) << header;
 }
 
 TEST(TelemetrySim, ChipHubPerturbsNothing)

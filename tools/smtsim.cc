@@ -73,8 +73,8 @@ selftest()
 {
     SimConfig cfg;
     cfg.seed = 0x5e1f;
-    Simulator sim(cfg, {"gzip", "mcf"}, PolicyKind::Dcra);
-    Pipeline &pipe = sim.pipeline();
+    ChipSimulator sim(cfg, {"gzip", "mcf"}, PolicyKind::Dcra);
+    Pipeline &pipe = sim.pipeline(0);
     for (int i = 0; i < 10'000; ++i)
         pipe.tick();
     pipe.auditInvariants();
