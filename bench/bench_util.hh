@@ -1,7 +1,9 @@
 /**
  * @file
- * Shared plumbing for the experiment binaries: run-length scaling,
- * paper-style table printing and the standard policy sets.
+ * Shared plumbing for the experiment binaries: run budgets, worker
+ * count, banners and the paper's workload-cell grid. The Hmean
+ * experiments each build a SweepSpec on these budgets, run it on a
+ * SweepRunner and read the cells back through cellAverage().
  *
  * Every binary honours three environment variables:
  *   SMT_BENCH_COMMITS  per-run first-thread commit budget
@@ -21,7 +23,7 @@
 #include <string>
 
 #include "common/stats.hh"
-#include "sim/experiment.hh"
+#include "runner/runner.hh"
 
 namespace smtbench {
 

@@ -1,37 +1,54 @@
 /**
  * @file
  * Experiment X-ablate -- design-choice ablations DESIGN.md calls
- * out, all on the 2-thread MIX cell (where DCRA's mechanisms are
+ * out, all on the MIX2 and MIX3 cells (where DCRA's mechanisms are
  * most visible):
  *
  *  1. sharing-factor mode (paper section 5.3 explored 1/T, 1/(T+4),
  *     0 per latency);
  *  2. activity threshold Y (paper tried 64..8192, picked 256);
  *  3. phase classifier source: pending L1D misses (paper's choice)
- *     vs pending L2 misses only;
- *  4. formula vs lookup-table sharing model (must tie).
+ *     vs pending L2 misses only.
+ *
+ * Each variant is one MIX2+MIX3 x DCRA sweep. All of them share one
+ * BaselineCache: the ICOUNT baselines read no policy parameter, so
+ * each is simulated once for the whole binary.
  */
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "bench/bench_util.hh"
-#include "sim/metrics.hh"
 
 namespace {
 
 using namespace smt;
 using namespace smtbench;
 
+/** DCRA's Hmean under @p pp, averaged over the MIX2 and MIX3
+ *  cells. */
 double
-mixHmean(const PolicyParams &pp)
+mixHmean(const PolicyParams &pp,
+         std::shared_ptr<BaselineCache> baselines)
 {
-    SimConfig cfg;
-    cfg.policy = pp;
-    ExperimentContext ctx(cfg, commitBudget(), warmupBudget());
-    double h = 0.0;
-    h += ctx.runCell(2, WorkloadType::MIX, PolicyKind::Dcra).hmean;
-    h += ctx.runCell(3, WorkloadType::MIX, PolicyKind::Dcra).hmean;
-    return h / 2.0;
+    SweepSpec spec;
+    spec.name = "extra_ablations";
+    spec.base.policy = pp;
+    spec.commits = commitBudget();
+    spec.warmup = warmupBudget();
+    spec.workloads = workloadsOf(2, WorkloadType::MIX);
+    for (const Workload &w : workloadsOf(3, WorkloadType::MIX))
+        spec.workloads.push_back(w);
+    spec.policies = {PolicyKind::Dcra};
+    const SweepResults res = SweepRunner(std::move(spec), benchJobs(),
+                                         std::move(baselines))
+                                 .run();
+    const double mix2 =
+        cellAverage(res, 2, WorkloadType::MIX, PolicyKind::Dcra).hmean;
+    const double mix3 =
+        cellAverage(res, 3, WorkloadType::MIX, PolicyKind::Dcra).hmean;
+    return (mix2 + mix3) / 2.0;
 }
 
 } // anonymous namespace
@@ -40,6 +57,7 @@ int
 main()
 {
     banner("Ablations", "DCRA design choices on MIX2+MIX3 cells");
+    const auto baselines = std::make_shared<BaselineCache>();
 
     {
         std::printf("1) sharing factor mode (300-cycle memory)\n");
@@ -52,7 +70,7 @@ main()
             pp.iqSharingMode = mode;
             pp.regSharingMode = mode;
             t.row({sharingFactorModeName(mode),
-                   TextTable::fmt(mixHmean(pp), 3)});
+                   TextTable::fmt(mixHmean(pp, baselines), 3)});
         }
         std::printf("%s(paper picks 1/(FA+SA+4) at 300 cycles)\n\n",
                     t.str().c_str());
@@ -66,7 +84,7 @@ main()
             PolicyParams pp;
             pp.activityThreshold = y;
             t.row({std::to_string(y),
-                   TextTable::fmt(mixHmean(pp), 3)});
+                   TextTable::fmt(mixHmean(pp, baselines), 3)});
         }
         std::printf("%s(paper picks 256)\n\n", t.str().c_str());
     }
@@ -77,23 +95,12 @@ main()
         t.header({"slow when", "avg MIX hmean"});
         PolicyParams l1;
         t.row({"pending L1D miss (paper)",
-               TextTable::fmt(mixHmean(l1), 3)});
+               TextTable::fmt(mixHmean(l1, baselines), 3)});
         PolicyParams l2;
         l2.dcraSlowOnL2Only = true;
         t.row({"pending L2 miss only",
-               TextTable::fmt(mixHmean(l2), 3)});
+               TextTable::fmt(mixHmean(l2, baselines), 3)});
         std::printf("%s\n", t.str().c_str());
-    }
-
-    {
-        std::printf("4) formula vs lookup table (must tie)\n");
-        PolicyParams formula;
-        PolicyParams lut;
-        lut.useLookupTable = true;
-        const double a = mixHmean(formula);
-        const double b = mixHmean(lut);
-        std::printf("formula %.4f vs LUT %.4f -> %s\n", a, b,
-                    a == b ? "identical" : "DIFFER");
     }
     return 0;
 }

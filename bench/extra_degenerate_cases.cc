@@ -6,12 +6,15 @@
  * overall performance while taxing the other threads. DCRA-DEG
  * denies borrowing to threads that stay slow without progressing.
  *
+ * One sweep (36 workloads x 2 policies) on the runner.
+ *
  * Shape target: DCRA-DEG recovers some throughput/fairness on the
  * MEM cells containing mcf (where the paper loses to FLUSH++) while
  * staying within noise of DCRA elsewhere.
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_util.hh"
 #include "sim/metrics.hh"
@@ -25,8 +28,14 @@ main()
     banner("Extra: degenerate cases",
            "DCRA vs DCRA-DEG (paper section 5.2 future work)");
 
-    SimConfig cfg;
-    ExperimentContext ctx(cfg, commitBudget(), warmupBudget());
+    SweepSpec spec;
+    spec.name = "extra_degenerate_cases";
+    spec.commits = commitBudget();
+    spec.warmup = warmupBudget();
+    spec.workloads = allWorkloads();
+    spec.policies = {PolicyKind::Dcra, PolicyKind::DcraDeg};
+    const SweepResults results =
+        SweepRunner(std::move(spec), benchJobs()).run();
 
     TextTable out;
     out.header({"cell", "DCRA thr", "DEG thr", "thr +%",
@@ -37,11 +46,12 @@ main()
     double memGain = 0.0;
     int memCells = 0;
     for (int i = 0; i < nCells; ++i) {
-        const auto dcra = ctx.runCell(cells[i].threads,
-                                      cells[i].type,
-                                      PolicyKind::Dcra);
-        const auto deg = ctx.runCell(cells[i].threads, cells[i].type,
-                                     PolicyKind::DcraDeg);
+        const CellAverage dcra =
+            cellAverage(results, cells[i].threads, cells[i].type,
+                        PolicyKind::Dcra);
+        const CellAverage deg =
+            cellAverage(results, cells[i].threads, cells[i].type,
+                        PolicyKind::DcraDeg);
         const double tg =
             improvementPct(deg.throughput, dcra.throughput);
         const double hg = improvementPct(deg.hmean, dcra.hmean);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Compare every implemented policy on one workload. Demonstrates the
- * ExperimentContext API: single-thread baselines are computed and
- * cached automatically, and each run reports both raw throughput and
- * the Hmean throughput/fairness balance.
+ * sweep API: one SweepSpec (the workload x nine policies) runs on a
+ * SweepRunner, single-thread baselines are computed once and shared
+ * by every job, and each result reports both raw throughput and the
+ * Hmean throughput/fairness balance.
  *
  * Usage: policy_comparison [bench1 bench2 ...]
  * Default workload: gzip + twolf (the paper's MIX2 group 1).
@@ -11,10 +12,10 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/experiment.hh"
-#include "sim/metrics.hh"
+#include "runner/runner.hh"
 
 int
 main(int argc, char **argv)
@@ -27,15 +28,15 @@ main(int argc, char **argv)
     if (benches.empty())
         benches = {"gzip", "twolf"};
 
-    SimConfig cfg; // paper Table 2 baseline
-    ExperimentContext ctx(cfg, 60'000, 10'000);
-
-    Workload w;
-    w.id = "custom";
-    w.numThreads = static_cast<int>(benches.size());
-    w.type = WorkloadType::MIX;
-    w.group = 0;
-    w.benches = benches;
+    SweepSpec spec; // paper Table 2 baseline, 60k commits
+    spec.workloads = {adHocWorkload(benches)};
+    spec.policies = {
+        PolicyKind::RoundRobin, PolicyKind::Icount,
+        PolicyKind::Stall, PolicyKind::Flush, PolicyKind::FlushPp,
+        PolicyKind::DataGating, PolicyKind::Pdg, PolicyKind::Sra,
+        PolicyKind::Dcra,
+    };
+    const SweepResults res = SweepRunner(std::move(spec)).run();
 
     std::printf("workload:");
     for (const auto &b : benches)
@@ -43,15 +44,9 @@ main(int argc, char **argv)
     std::printf("\n\n%-12s %10s %8s  per-thread IPC\n", "policy",
                 "throughput", "hmean");
 
-    const PolicyKind kinds[] = {
-        PolicyKind::RoundRobin, PolicyKind::Icount,
-        PolicyKind::Stall, PolicyKind::Flush, PolicyKind::FlushPp,
-        PolicyKind::DataGating, PolicyKind::Pdg, PolicyKind::Sra,
-        PolicyKind::Dcra,
-    };
-    for (const PolicyKind k : kinds) {
-        const RunSummary s = ctx.runWorkload(w, k);
-        std::printf("%-12s %10.3f %8.3f ", policyKindName(k),
+    for (const JobResult &r : res.results) {
+        const RunSummary &s = r.summary;
+        std::printf("%-12s %10.3f %8.3f ", policyKindName(r.job.policy),
                     s.throughput, s.hmean);
         for (std::size_t i = 0; i < benches.size(); ++i)
             std::printf(" %s=%.3f", benches[i].c_str(),
@@ -59,9 +54,11 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
+    const RunSummary &summary = res.results[0].summary;
     std::printf("\nsingle-thread baselines:");
-    for (const auto &b : benches)
-        std::printf(" %s=%.3f", b.c_str(), ctx.singleThreadIpc(b));
+    for (std::size_t i = 0; i < benches.size(); ++i)
+        std::printf(" %s=%.3f", benches[i].c_str(),
+                    summary.singleIpc[i]);
     std::printf("\n");
     return 0;
 }

@@ -4,39 +4,27 @@
 
 namespace smt {
 
-DcraPolicy::DcraPolicy(const PolicyParams &pp)
-    : params(pp),
-      iqModel(pp.iqSharingMode),
-      regModel(pp.regSharingMode)
-{
-}
+DcraPolicy::DcraPolicy(const PolicyParams &pp) : params(pp) {}
 
 void
 DcraPolicy::onBind()
 {
+    // The sharing model as the paper's read-only table, one per
+    // resource, so the cycle loop never runs the floating-point
+    // formula. The tables are built from the formula and are
+    // value-identical to it (asserted by the sharing-model tests).
+    // The equal-share tables serve threads denied borrowing (the
+    // DcraDeg extension).
     tables.clear();
-    if (params.useLookupTable) {
-        for (int r = 0; r < NumResourceTypes; ++r) {
-            const auto rt = static_cast<ResourceType>(r);
-            tables.emplace_back(
-                isIqResource(rt) ? params.iqSharingMode
-                                 : params.regSharingMode,
-                ctx.cfg->resourceTotal(rt), ctx.cfg->numThreads);
-        }
-    }
-    // The equal-share limit is consulted only for threads denied
-    // borrowing (the DcraDeg extension); precompute it as a table so
-    // the cycle loop never re-runs the floating-point formula. The
-    // table is value-identical to the formula (asserted by the
-    // sharing-model tests).
     equalTables.clear();
     for (int r = 0; r < NumResourceTypes; ++r) {
         const auto rt = static_cast<ResourceType>(r);
-        equalTables.emplace_back(SharingFactorMode::Zero,
-                                 ctx.cfg->resourceTotal(rt),
+        const int total = ctx.cfg->resourceTotal(rt);
+        tables.emplace_back(isIqResource(rt) ? params.iqSharingMode
+                                             : params.regSharingMode,
+                            total, ctx.cfg->numThreads);
+        equalTables.emplace_back(SharingFactorMode::Zero, total,
                                  ctx.cfg->numThreads);
-        lastFast[r] = -1;
-        lastSlow[r] = -1;
     }
 }
 
@@ -92,24 +80,8 @@ DcraPolicy::beginCycle(Cycle now)
                 ++fastActive;
         }
 
-        // The entitlement depends only on (fastActive, slowActive),
-        // which is stable across the vast majority of cycles, so
-        // recompute it only when the classification changes.
-        if (fastActive != lastFast[r] || slowActive != lastSlow[r]) {
-            if (params.useLookupTable) {
-                limit[r] =
-                    tables[static_cast<std::size_t>(r)].slowLimit(
-                        fastActive, slowActive);
-            } else {
-                const SharingModel &model =
-                    isIqResource(rt) ? iqModel : regModel;
-                limit[r] = model.slowLimit(
-                    ctx.cfg->resourceTotal(rt), fastActive,
-                    slowActive);
-            }
-            lastFast[r] = fastActive;
-            lastSlow[r] = slowActive;
-        }
+        limit[r] = tables[static_cast<std::size_t>(r)].slowLimit(
+            fastActive, slowActive);
 
         for (int t = 0; t < n; ++t) {
             if (!slow[t] || !active[r][t])

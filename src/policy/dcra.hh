@@ -40,7 +40,7 @@ namespace smt {
 class DcraPolicy : public Policy
 {
   public:
-    /** @param pp sharing factors, activity window, impl choice. */
+    /** @param pp sharing factors, activity window, ablations. */
     explicit DcraPolicy(const PolicyParams &pp);
 
     const char *name() const override { return "DCRA"; }
@@ -120,20 +120,14 @@ class DcraPolicy : public Policy
     bool computeActive(ResourceType r, ThreadID t, Cycle now) const;
 
     PolicyParams params;
-    SharingModel iqModel;
-    SharingModel regModel;
-    std::vector<SharingModelTable> tables; //!< lookup-table variant
-    /** Equal-share (c = 0) limits for borrow-denied threads,
-     *  precomputed at bind (value-identical to the formula). */
+    /** E_slow by (F_A, S_A), one table per resource, built at bind. */
+    std::vector<SharingModelTable> tables;
+    /** Equal-share (c = 0) limits for borrow-denied threads. */
     std::vector<SharingModelTable> equalTables;
 
     bool slow[maxThreads] = {};
     bool active[NumResourceTypes][maxThreads] = {};
     int limit[NumResourceTypes] = {};
-    /** (fast, slow) active counts limit[] was computed for; set to
-     *  -1 at bind so the first cycle always computes. */
-    int lastFast[NumResourceTypes] = {};
-    int lastSlow[NumResourceTypes] = {};
     bool gatedMask[maxThreads] = {};
 
     /** @name Telemetry-only phase-flip tracking (countFlips arms it;

@@ -37,9 +37,6 @@ struct PolicyParams
      */
     bool activityAllResources = false;
 
-    /** Use the read-only lookup table instead of the formula. */
-    bool useLookupTable = false;
-
     /**
      * Classify threads slow on pending *L2* misses instead of L1
      * data misses (ablation; the paper explored both and chose L1,

@@ -19,7 +19,8 @@
  *
  * The paper proposes two implementations: a combinational circuit for
  * the formula and a small read-only table indexed by (F_A, S_A).
- * Both exist here; unit tests pin them to each other and to Table 1.
+ * Both exist here: DCRA reads the table, which is built from the
+ * formula, and unit tests pin the two to each other and to Table 1.
  */
 
 #ifndef DCRA_SMT_POLICY_SHARING_MODEL_HH

@@ -1,11 +1,10 @@
 #include "prof/host_profiler.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "common/version.hh"
+#include "common/write_file.hh"
 
 namespace smt {
 
@@ -222,20 +221,7 @@ bool
 writeHostProfile(const HostProfiler &prof, const std::string &base,
                  const std::string &source)
 {
-    const std::string path = base + ".prof.ndjson";
-    const std::string text = prof.renderNdjson(source);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot write host profile '%s'", path.c_str());
-        return false;
-    }
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (std::fclose(f) != 0 || !ok) {
-        warn("failed writing host profile '%s'", path.c_str());
-        return false;
-    }
-    return true;
+    return writeTextFile(base + ".prof.ndjson", prof.renderNdjson(source));
 }
 
 std::string

@@ -18,8 +18,8 @@
 #include <string>
 
 #include "runner/baseline_cache.hh"
+#include "runner/run_summary.hh"
 #include "runner/sweep_spec.hh"
-#include "sim/experiment.hh"
 
 namespace smt {
 

@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "runner/run_summary.hh"
 #include "runner/sweep_spec.hh"
-#include "sim/experiment.hh"
 
 namespace smt {
 

@@ -1,45 +1,10 @@
-#include "sim/experiment.hh"
+#include "runner/run_summary.hh"
 
 #include <cstdint>
 #include <string>
 #include <utility>
 
-#include "common/logging.hh"
-#include "sim/metrics.hh"
-#include "soc/chip.hh"
-
 namespace smt {
-
-ExperimentContext::ExperimentContext(
-    const SimConfig &base_, std::uint64_t commitLimit,
-    std::uint64_t warmupCommits,
-    std::shared_ptr<BaselineCache> baselines_)
-    : base(base_), limit(commitLimit), warmup(warmupCommits),
-      baselines(baselines_ ? std::move(baselines_)
-                           : std::make_shared<BaselineCache>())
-{
-}
-
-double
-ExperimentContext::singleThreadIpc(const std::string &bench)
-{
-    return baselines->ipc(base, bench, limit, warmup);
-}
-
-RunSummary
-ExperimentContext::runWorkload(const Workload &w, PolicyKind policy)
-{
-    ChipSimulator chip(base, w.benches, policy);
-    RunSummary s;
-    s.raw = chip.run(limit, 50'000'000, warmup);
-    for (std::size_t i = 0; i < w.benches.size(); ++i) {
-        s.multiIpc.push_back(s.raw.threads[i].ipc);
-        s.singleIpc.push_back(singleThreadIpc(w.benches[i]));
-    }
-    s.throughput = s.raw.throughput();
-    s.hmean = hmeanSpeedup(s.multiIpc, s.singleIpc);
-    return s;
-}
 
 namespace {
 
@@ -263,23 +228,6 @@ runSummaryFromJson(const JsonValue &v, RunSummary &out)
         r.llcPerCore.push_back(cs);
     }
     return true;
-}
-
-CellAverage
-ExperimentContext::runCell(int numThreads, WorkloadType type,
-                           PolicyKind policy)
-{
-    const auto cell = workloadsOf(numThreads, type);
-    SMT_ASSERT(!cell.empty(), "empty workload cell");
-    CellAverage avg;
-    for (const Workload &w : cell) {
-        const RunSummary s = runWorkload(w, policy);
-        avg.throughput += s.throughput;
-        avg.hmean += s.hmean;
-    }
-    avg.throughput /= static_cast<double>(cell.size());
-    avg.hmean /= static_cast<double>(cell.size());
-    return avg;
 }
 
 } // namespace smt

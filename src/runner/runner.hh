@@ -24,8 +24,8 @@
 
 #include "runner/baseline_cache.hh"
 #include "runner/job_exec.hh"
+#include "runner/run_summary.hh"
 #include "runner/sweep_spec.hh"
-#include "sim/experiment.hh"
 
 namespace smt {
 
@@ -114,14 +114,19 @@ class SweepRunner
     /** Run every job; blocks until the sweep completes. */
     SweepResults run();
 
-    /** The baseline cache in use (shared across runners if given). */
-    BaselineCache &baselines() { return *cache; }
-
   private:
     SweepSpec spec;
     int nJobs;
     std::shared_ptr<BaselineCache> cache;
     RunnerOptions opts;
+};
+
+/** Average throughput and Hmean over the jobs of one workload
+ *  cell. */
+struct CellAverage
+{
+    double throughput = 0.0;
+    double hmean = 0.0;
 };
 
 /**

@@ -21,14 +21,10 @@ ConfigOverride::apply(SimConfig cfg) const
         for (int q = 0; q < numQueueClasses; ++q)
             cfg.core.iqSize[q] = *iqSize;
     }
-    if (perfectDcache)
-        cfg.mem.perfectDcache = *perfectDcache;
     if (iqSharingMode)
         cfg.policy.iqSharingMode = *iqSharingMode;
     if (regSharingMode)
         cfg.policy.regSharingMode = *regSharingMode;
-    if (seed)
-        cfg.seed = *seed;
     if (numCores)
         cfg.soc.numCores = *numCores;
     if (contextsPerCore)

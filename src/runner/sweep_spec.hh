@@ -49,14 +49,11 @@ struct ConfigOverride
     std::optional<Cycle> l2Latency;
     std::optional<int> physRegsPerFile;
     std::optional<int> iqSize; //!< applied to all three queue classes
-    std::optional<bool> perfectDcache;
     std::optional<SharingFactorMode> iqSharingMode;
     std::optional<SharingFactorMode> regSharingMode;
-    std::optional<std::uint64_t> seed;
 
-    /** @name Chip-level (CMP) axes
-     * numCores > 1 makes the runner execute the job on a
-     * ChipSimulator; the others shape the chip. */
+    /** @name Chip-level (CMP) axes: the shape of the chip the job
+     * runs on. */
     /** @{ */
     std::optional<int> numCores;
     std::optional<int> contextsPerCore;

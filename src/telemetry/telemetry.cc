@@ -1,11 +1,11 @@
 #include "telemetry/telemetry.hh"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/version.hh"
+#include "common/write_file.hh"
 #include "prof/host_info.hh"
 
 namespace smt {
@@ -263,28 +263,6 @@ telemetryFileBase(const std::string &prefix, std::size_t jobIndex)
     return prefix + ".job" + std::to_string(jobIndex);
 }
 
-namespace {
-
-bool
-writeFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        warn("cannot write %s", path.c_str());
-        return false;
-    }
-    const std::size_t n =
-        std::fwrite(text.data(), 1, text.size(), f);
-    const bool ok = n == text.size() && std::fclose(f) == 0;
-    if (n != text.size()) {
-        warn("short write to %s", path.c_str());
-        return false;
-    }
-    return ok;
-}
-
-} // anonymous namespace
-
 bool
 writeTelemetryFiles(const TelemetryHub &hub, const std::string &tsBase,
                     const std::string &traceBase,
@@ -292,11 +270,11 @@ writeTelemetryFiles(const TelemetryHub &hub, const std::string &tsBase,
 {
     bool ok = true;
     if (!tsBase.empty())
-        ok = writeFile(tsBase + ".ts.ndjson",
-                       hub.renderTimeSeries()) && ok;
+        ok = writeTextFile(tsBase + ".ts.ndjson",
+                           hub.renderTimeSeries()) && ok;
     if (!traceBase.empty())
-        ok = writeFile(traceBase + ".trace.json",
-                       hub.renderChromeTrace(hostTraceEvents)) && ok;
+        ok = writeTextFile(traceBase + ".trace.json",
+                           hub.renderChromeTrace(hostTraceEvents)) && ok;
     return ok;
 }
 

@@ -311,36 +311,6 @@ TEST(Dcra, LimitSharpensAsMoreThreadsCompete)
     EXPECT_LT(limit2, limit1);
 }
 
-TEST(Dcra, LookupTableVariantBehavesIdentically)
-{
-    for (int threads : {2, 3, 4}) {
-        DcraHarness hf(threads);
-        DcraHarness ht(threads);
-        PolicyParams ppf;
-        PolicyParams ppt;
-        ppt.useLookupTable = true;
-        DcraPolicy pf(ppf);
-        pf.bind(hf.ctx);
-        DcraPolicy pt(ppt);
-        pt.bind(ht.ctx);
-
-        hf.makeSlow(0, 1);
-        ht.makeSlow(0, 1);
-        for (int i = 0; i < 30; ++i) {
-            hf.tracker.allocate(ResIqInt, 0, 1);
-            ht.tracker.allocate(ResIqInt, 0, 1);
-        }
-        pf.beginCycle(2);
-        pt.beginCycle(2);
-        for (int r = 0; r < NumResourceTypes; ++r) {
-            EXPECT_EQ(pf.slowLimit(static_cast<ResourceType>(r)),
-                      pt.slowLimit(static_cast<ResourceType>(r)))
-                << "resource " << r << ", " << threads << " threads";
-        }
-        EXPECT_EQ(pf.isGated(0), pt.isGated(0));
-    }
-}
-
 TEST(Dcra, RegisterLimitsUseRenamePool)
 {
     DcraHarness h;

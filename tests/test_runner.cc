@@ -33,7 +33,8 @@
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 #include "runner/sweep_spec.hh"
-#include "sim/experiment.hh"
+#include "sim/metrics.hh"
+#include "soc/chip.hh"
 
 namespace {
 
@@ -111,8 +112,6 @@ TEST(SweepSpec, ConfigOverrideAppliesFields)
     o.l2Latency = 25;
     o.physRegsPerFile = 320;
     o.iqSize = 32;
-    o.perfectDcache = true;
-    o.seed = 42;
 
     const SimConfig cfg = o.apply(SimConfig());
     EXPECT_EQ(cfg.mem.memLatency, 500u);
@@ -120,8 +119,6 @@ TEST(SweepSpec, ConfigOverrideAppliesFields)
     EXPECT_EQ(cfg.core.physRegsPerFile, 320);
     for (int q = 0; q < numQueueClasses; ++q)
         EXPECT_EQ(cfg.core.iqSize[q], 32);
-    EXPECT_TRUE(cfg.mem.perfectDcache);
-    EXPECT_EQ(cfg.seed, 42u);
 }
 
 TEST(SweepSpec, ResourceCapFractionMath)
@@ -312,24 +309,34 @@ TEST(BaselineCache, FailedComputeIsRetriedNotPoisoned)
     EXPECT_EQ(cache.computeCount(), 2u);
 }
 
-TEST(BaselineCache, SharedBetweenRunnerAndExperimentContext)
+TEST(BaselineCache, DefaultBaselineIsStable)
+{
+    SimConfig cfg;
+    cfg.seed = 8;
+    BaselineCache cache;
+    const double a = cache.ipc(cfg, "gzip", 5000, 0);
+    const double b = cache.ipc(cfg, "gzip", 5000, 0);
+    EXPECT_DOUBLE_EQ(a, b);
+    EXPECT_GT(a, 0.5);
+    EXPECT_EQ(cache.computeCount(), 1u);
+}
+
+TEST(BaselineCache, SharedBetweenRunners)
 {
     auto cache = std::make_shared<BaselineCache>();
     SweepSpec spec = tinySpec();
     spec.workloads = {adHocWorkload({"gzip", "mcf"})};
-    spec.policies = {PolicyKind::Icount};
+    spec.policies = {PolicyKind::Dcra};
 
-    SweepRunner runner(spec, 2, cache);
-    runner.run();
+    SweepRunner(spec, 2, cache).run();
     const std::uint64_t afterSweep = cache->computeCount();
     EXPECT_EQ(afterSweep, 2u); // gzip + mcf baselines
 
-    // Same config and budgets: the context reuses the sweep's
-    // baselines instead of simulating them again.
-    ExperimentContext ctx(spec.base, spec.commits, spec.warmup,
-                          cache);
-    ctx.singleThreadIpc("gzip");
-    ctx.singleThreadIpc("mcf");
+    // A second sweep differing only in one policy parameter (an
+    // ablation variant) reuses the first one's baselines: the ICOUNT
+    // baseline runs read no policy parameter.
+    spec.base.policy.activityThreshold = 1024;
+    SweepRunner(spec, 2, cache).run();
     EXPECT_EQ(cache->computeCount(), afterSweep);
 }
 
@@ -359,7 +366,7 @@ TEST(SweepRunner, ParallelMatchesSerialByteForByte)
               JsonSink().render(a));
 }
 
-TEST(SweepRunner, MatchesExperimentContext)
+TEST(SweepRunner, MatchesDirectChipRun)
 {
     SweepSpec spec = tinySpec();
     spec.workloads = {spec.workloads[0]};
@@ -367,19 +374,40 @@ TEST(SweepRunner, MatchesExperimentContext)
     SweepRunner runner(spec, 2);
     const SweepResults res = runner.run();
 
-    ExperimentContext ctx(spec.base, spec.commits, spec.warmup);
-    const RunSummary expect =
-        ctx.runWorkload(spec.workloads[0], PolicyKind::Dcra);
-
-    const RunSummary &got = res.results[0].summary;
-    EXPECT_EQ(got.raw.cycles, expect.raw.cycles);
-    EXPECT_EQ(got.throughput, expect.throughput);
-    EXPECT_EQ(got.hmean, expect.hmean);
-    ASSERT_EQ(got.multiIpc.size(), expect.multiIpc.size());
-    for (std::size_t i = 0; i < got.multiIpc.size(); ++i) {
-        EXPECT_EQ(got.multiIpc[i], expect.multiIpc[i]);
-        EXPECT_EQ(got.singleIpc[i], expect.singleIpc[i]);
+    // The reference, written out: one chip run, single-thread
+    // baselines from a fresh cache, and Hmean over the two.
+    const std::vector<std::string> &benches =
+        spec.workloads[0].benches;
+    ChipSimulator chip(spec.base, benches, PolicyKind::Dcra);
+    const SimResult raw =
+        chip.run(spec.commits, spec.maxCycles, spec.warmup);
+    BaselineCache cache;
+    std::vector<double> multi, single;
+    for (std::size_t i = 0; i < benches.size(); ++i) {
+        multi.push_back(raw.threads[i].ipc);
+        single.push_back(cache.ipc(spec.base, benches[i],
+                                   spec.commits, spec.warmup,
+                                   spec.maxCycles));
     }
+
+    // Bitwise.
+    const RunSummary &got = res.results[0].summary;
+    EXPECT_EQ(got.raw.cycles, raw.cycles);
+    EXPECT_EQ(got.throughput, raw.throughput());
+    EXPECT_EQ(got.hmean, hmeanSpeedup(multi, single));
+    ASSERT_EQ(got.multiIpc.size(), multi.size());
+    ASSERT_EQ(got.singleIpc.size(), single.size());
+    for (std::size_t i = 0; i < multi.size(); ++i) {
+        EXPECT_EQ(got.multiIpc[i], multi[i]);
+        EXPECT_EQ(got.singleIpc[i], single[i]);
+    }
+
+    // Plausible: sharing the core cannot make a thread much faster
+    // than running alone.
+    EXPECT_GT(got.hmean, 0.0);
+    EXPECT_LE(got.hmean, 1.5);
+    for (std::size_t i = 0; i < multi.size(); ++i)
+        EXPECT_LE(got.multiIpc[i], got.singleIpc[i] * 1.3);
 }
 
 TEST(SweepRunner, CellAverageMatchesManualMean)
@@ -387,18 +415,23 @@ TEST(SweepRunner, CellAverageMatchesManualMean)
     SweepSpec spec = tinySpec();
     spec.workloads = workloadsOf(2, WorkloadType::MIX);
     spec.policies = {PolicyKind::Icount};
-    spec.computeHmean = false;
     SweepRunner runner(spec, 0);
     const SweepResults res = runner.run();
 
     double thr = 0.0;
-    for (const JobResult &r : res.results)
+    double hmean = 0.0;
+    for (const JobResult &r : res.results) {
         thr += r.summary.throughput;
+        hmean += r.summary.hmean;
+    }
     thr /= static_cast<double>(res.results.size());
+    hmean /= static_cast<double>(res.results.size());
 
     const CellAverage avg = cellAverage(res, 2, WorkloadType::MIX,
                                         PolicyKind::Icount);
     EXPECT_DOUBLE_EQ(avg.throughput, thr);
+    EXPECT_DOUBLE_EQ(avg.hmean, hmean);
+    EXPECT_GT(avg.hmean, 0.0);
 }
 
 // ---------------------------------------------------------------

@@ -1,15 +1,13 @@
 /**
  * @file
  * Unit tests for the simulation layer: workload tables (paper
- * Table 4), metrics (Hmean), experiment context caching and run
- * accounting.
+ * Table 4), metrics (Hmean) and single-core run accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "sim/experiment.hh"
 #include "sim/metrics.hh"
 #include "sim/simulator.hh"
 #include "sim/workload.hh"
@@ -185,44 +183,6 @@ TEST(SingleCoreRun, MemWorkloadSpendsMoreCyclesAllSlow)
         static_cast<double>(rm.slowPhaseCycles[2]) /
         static_cast<double>(rm.cycles);
     EXPECT_GT(fracMem, fracIlp + 0.2);
-}
-
-TEST(Experiment, BaselineCacheIsStable)
-{
-    SimConfig cfg;
-    cfg.seed = 8;
-    ExperimentContext ctx(cfg, 5000);
-    const double a = ctx.singleThreadIpc("gzip");
-    const double b = ctx.singleThreadIpc("gzip");
-    EXPECT_DOUBLE_EQ(a, b);
-    EXPECT_GT(a, 0.5);
-}
-
-TEST(Experiment, RunWorkloadFillsSummary)
-{
-    SimConfig cfg;
-    cfg.seed = 8;
-    ExperimentContext ctx(cfg, 4000);
-    const Workload w = workloadsOf(2, WorkloadType::MIX)[0];
-    const RunSummary s = ctx.runWorkload(w, PolicyKind::Dcra);
-    ASSERT_EQ(s.multiIpc.size(), 2u);
-    ASSERT_EQ(s.singleIpc.size(), 2u);
-    EXPECT_GT(s.throughput, 0.0);
-    EXPECT_GT(s.hmean, 0.0);
-    EXPECT_LE(s.hmean, 1.5);
-    for (std::size_t i = 0; i < 2; ++i)
-        EXPECT_LE(s.multiIpc[i], s.singleIpc[i] * 1.3);
-}
-
-TEST(Experiment, CellAverageAveragesFourGroups)
-{
-    SimConfig cfg;
-    cfg.seed = 8;
-    ExperimentContext ctx(cfg, 2000);
-    const auto avg =
-        ctx.runCell(2, WorkloadType::ILP, PolicyKind::Icount);
-    EXPECT_GT(avg.throughput, 0.0);
-    EXPECT_GT(avg.hmean, 0.0);
 }
 
 } // anonymous namespace

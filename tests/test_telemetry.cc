@@ -5,8 +5,9 @@
  * Chrome trace metadata), the zero-perturbation guarantee (attaching
  * a hub changes no simulation outcome), byte-determinism of the
  * rendered telemetry across --chip-jobs worker counts, sweep-level
- * v2 JSON byte equality across --jobs, and the v1 byte-pin when
- * telemetry is off.
+ * v2 JSON byte equality across --jobs, the v1 byte-pin when
+ * telemetry is off, and a full-disk sidecar write that must still
+ * close its file.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,9 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <dirent.h>
+#include <unistd.h>
 
 #include "common/json.hh"
 #include "runner/result_sink.hh"
@@ -242,6 +246,49 @@ TEST(TelemetryHub, ChromeTraceSplicesExtraHostEvents)
 
     // No extra events: byte-identical to the no-argument render.
     EXPECT_EQ(hub.renderChromeTrace(), hub.renderChromeTrace(""));
+}
+
+// ---------------------------------------------------------------
+// sidecar writes
+// ---------------------------------------------------------------
+
+/** Open file descriptors of this process. */
+std::size_t
+openFdCount()
+{
+    std::size_t n = 0;
+    DIR *d = opendir("/proc/self/fd");
+    if (!d)
+        return 0;
+    while (readdir(d))
+        ++n;
+    closedir(d);
+    return n;
+}
+
+TEST(TelemetryFiles, FullDiskClosesTheFile)
+{
+    char tmpl[] = "/tmp/smtsim-telemetry-XXXXXX";
+    char *dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    const std::string base = std::string(dir) + "/full";
+    const std::string trace = base + ".trace.json";
+    ASSERT_EQ(symlink("/dev/full", trace.c_str()), 0);
+
+    // Far more than one stdio buffer, so fwrite itself comes up
+    // short rather than only the flush in fclose.
+    TelemetryHub hub(0);
+    const int t = hub.track("core0");
+    for (Cycle c = 0; c < 5000; ++c)
+        hub.event(t, c, "decision", "{\"k\": 1}");
+
+    const std::size_t before = openFdCount();
+    ASSERT_GT(before, 0u);
+    EXPECT_FALSE(writeTelemetryFiles(hub, "", base));
+    EXPECT_EQ(openFdCount(), before);
+
+    unlink(trace.c_str());
+    rmdir(dir);
 }
 
 // ---------------------------------------------------------------
