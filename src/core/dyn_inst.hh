@@ -49,8 +49,6 @@ struct DynInst
     InstSeqNum seq = 0;           //!< global age
     std::uint64_t traceIdx = ~0ull; //!< correct-path trace position
     Cycle fetchCycle = 0;
-    Cycle readyCycle = 0;         //!< completion, valid once issued
-    Addr predTarget = 0;          //!< predicted branch target
     std::uint64_t iqStamp = 0;    //!< issue-queue insertion age
 
     ThreadID tid = invalidThread;
@@ -115,8 +113,6 @@ struct DynInst
         seq = 0;
         traceIdx = ~0ull;
         fetchCycle = 0;
-        readyCycle = 0;
-        predTarget = 0;
         iqStamp = 0;
         tid = invalidThread;
         pdst = invalidPhysReg;

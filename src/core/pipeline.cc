@@ -577,7 +577,6 @@ Pipeline::issueStage()
             d.issued = true;
             d.inIQ = false;
             d.inReadyList = false;
-            d.readyCycle = finish;
             pushWheel(h, finish);
             rtracker.release(iqResource(qc), d.tid);
             rtracker.preIssueDec(d.tid);
@@ -1049,7 +1048,6 @@ Pipeline::fetchFrom(ThreadID t, int &budget)
             const BranchPrediction p = bpred.predict(t, ti);
             d.snap = p.snap;
             d.predTaken = p.taken;
-            d.predTarget = p.target;
             if (fromTrace) {
                 if (ti.isCond)
                     ++pstats.condBranches[t];

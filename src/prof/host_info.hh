@@ -7,7 +7,7 @@
  * model) can appear in the sweep v2 provenance block — it is
  * constant for every run on one host, so cross-worker-count byte
  * diffs still hold — while the load average is nondeterministic
- * across runs and is confined to prof sidecars and BENCH_perf.json.
+ * across runs and is confined to prof sidecars.
  */
 
 #ifndef DCRA_SMT_PROF_HOST_INFO_HH

@@ -256,6 +256,9 @@ renderProfReport(const std::vector<std::string> &paths,
     // Sampled scopes are timed on 1 in `every` ticks and exact ones
     // on every hit, so only the scaled totals are comparable: rank
     // and share by the estimate, and show the timed total beside it.
+    // Scopes nest (c0.tick holds its c0.stage.* children), so the
+    // share base is the summed run wall when the sidecars carry one:
+    // a sum over the estimates would count nested time twice.
     std::vector<std::string> order = rep.scopeOrder;
     std::stable_sort(order.begin(), order.end(),
                      [&rep](const std::string &a,
@@ -263,15 +266,18 @@ renderProfReport(const std::vector<std::string> &paths,
                          return rep.scopes[a].estNs >
                              rep.scopes[b].estNs;
                      });
-    std::uint64_t totalEstNs = 0;
-    for (const auto &kv : rep.scopes)
-        totalEstNs += kv.second.estNs;
+    std::uint64_t shareBaseNs = rep.runWallNs;
+    if (shareBaseNs == 0) {
+        for (const auto &kv : rep.scopes)
+            shareBaseNs += kv.second.estNs;
+    }
     if (!order.empty()) {
         out += "\n== top scopes (host wall; est_ms scales sampled "
                "scopes by 1/every) ==\n";
         TextTable t;
         t.header({"scope", "every", "hits", "timed_ms", "est_ms",
-                  "mean_us", "max_us", "est_share%"});
+                  "mean_us", "max_us",
+                  rep.runWallNs ? "run_share%" : "est_share%"});
         int rows = 0;
         for (const std::string &name : order) {
             if (rows++ >= opts.topScopes)
@@ -281,9 +287,9 @@ renderProfReport(const std::vector<std::string> &paths,
                 s.hits ? us(s.ns) / static_cast<double>(s.hits)
                        : 0.0;
             const double share =
-                totalEstNs ? 100.0 * static_cast<double>(s.estNs) /
-                                 static_cast<double>(totalEstNs)
-                           : 0.0;
+                shareBaseNs ? 100.0 * static_cast<double>(s.estNs) /
+                                  static_cast<double>(shareBaseNs)
+                            : 0.0;
             t.row({name,
                    s.mixedEvery ? "mixed" : std::to_string(s.every),
                    std::to_string(s.hits),

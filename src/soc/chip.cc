@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "common/json.hh"
@@ -610,21 +609,6 @@ ChipSimulator::runEpoch()
     // cause migrations: relabel for maximum overlap first.
     const std::vector<int> canon =
         canonicalizePlacement(coreOf, proposed, nCores);
-    // Debug aid: SMT_SOC_TRACE=1 dumps every epoch's metrics and
-    // placement decision to stderr. The whole line goes through
-    // inform() so --chip-jobs workers cannot interleave it, and the
-    // floats through fmtDouble so the dump is byte-stable too.
-    // smtlint:allow(D1): debug-only dump gate; never reaches simulated state or output
-    if (std::getenv("SMT_SOC_TRACE")) {
-        std::string line = "epoch " + fmtU64(epoch) + " cycle " +
-                           fmtU64(cycle) + ":";
-        for (int s2 = 0; s2 < nThreads; ++s2)
-            line += " " + benchNames[s2] + ":ipc=" +
-                    fmtDouble(metrics[s2].ipc, 3) + ",cur=" +
-                    std::to_string(coreOf[s2]) + ",prop=" +
-                    std::to_string(canon[s2]);
-        inform("%s", line.c_str());
-    }
     if (canon == coreOf) {
         lastProposal.clear();
         return;

@@ -180,8 +180,7 @@ class TelemetryHub
  * same binary on the same host always renders the same bytes, so
  * provenance never breaks the cross-worker-count output diffs. The
  * run-varying host facts (load average) deliberately live only in
- * the --prof sidecars and BENCH_perf.json, which no byte diff
- * covers.
+ * the --prof sidecars, which no byte diff covers.
  */
 std::string provenanceJson();
 

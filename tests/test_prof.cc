@@ -496,6 +496,47 @@ TEST(ProfReport, ScalesSampledScopesToEstimates)
     EXPECT_EQ(wait[7], "13.5");
 }
 
+TEST(ProfReport, SharesNestedScopesOfTheRunWall)
+{
+    char tmpl[] = "/tmp/smtsim-prof-XXXXXX";
+    char *dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    const std::string d(dir);
+
+    // c0.tick holds its two stage scopes, so shares over the summed
+    // estimates (3 + 1 + 1 ms) would count the stage time twice. The
+    // run record gives the base instead: 3, 1 and 1 of its 4 ms.
+    HostProfiler prof(64);
+    const int tick = prof.scope("c0.tick");
+    const int fetch = prof.scope("c0.stage.fetch");
+    const int issue = prof.scope("c0.stage.issue");
+    prof.add(tick, 0, 3'000'000);
+    prof.add(fetch, 0, 1'000'000);
+    prof.add(issue, 0, 1'000'000);
+    prof.record("{\"type\": \"run\", \"wallNs\": 4000000}");
+    ASSERT_TRUE(writeHostProfile(prof, d + "/p.job0", "job0"));
+
+    ProfReportOptions opts;
+    std::string out, err;
+    ASSERT_TRUE(renderProfReport({d + "/p.job0.prof.ndjson"}, opts,
+                                 out, err))
+        << err;
+    EXPECT_NE(out.find("run_share%"), std::string::npos) << out;
+    EXPECT_EQ(out.find("est_share%"), std::string::npos) << out;
+    // scope, every, hits, timed_ms, est_ms, mean_us, max_us, share
+    const std::vector<std::string> tickRow = reportRow(out, "c0.tick");
+    const std::vector<std::string> fetchRow =
+        reportRow(out, "c0.stage.fetch");
+    const std::vector<std::string> issueRow =
+        reportRow(out, "c0.stage.issue");
+    ASSERT_EQ(tickRow.size(), 8u) << out;
+    ASSERT_EQ(fetchRow.size(), 8u) << out;
+    ASSERT_EQ(issueRow.size(), 8u) << out;
+    EXPECT_EQ(tickRow[7], "75.0");
+    EXPECT_EQ(fetchRow[7], "25.0");
+    EXPECT_EQ(issueRow[7], "25.0");
+}
+
 TEST(ProfReport, RejectsWrongSchemaAndMissingFiles)
 {
     char tmpl[] = "/tmp/smtsim-prof-XXXXXX";
