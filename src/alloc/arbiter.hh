@@ -1,27 +1,16 @@
 /**
  * @file
- * ResourceArbiter: the decision side of the hierarchical allocation
- * API. An arbiter watches one ResourceDomain and answers, for any
- * (claimant, kind), "how many entries is this claimant entitled to
- * right now?" (shareOf) and "may it take one more?" (claimAllowed).
+ * ResourceArbiter: the decision side of the chip-level allocation
+ * API. An arbiter watches the shared LLC's ResourceDomain (LLC
+ * MSHRs, bus slots, cache ways; whole cores as the claimants) and
+ * answers, for any (core, kind), "how many entries is this core
+ * entitled to right now?" (shareOf), recomputed every arbitration
+ * epoch. SharedCache (mem/shared_cache.hh) is the one host; the
+ * concrete arbiters live in alloc/chip_arbiters.hh.
  *
- * The same interface arbitrates at every level of the hierarchy:
- *
- *  - core level: Policy (policy/policy.hh) derives from this class —
- *    SRA's hard 1/T caps and DCRA's dynamically computed E_slow
- *    entitlements are shareOf()/claimAllowed() answers over the
- *    core's ResourceTracker domain, recomputed every cycle (the
- *    core's epoch *is* the cycle);
- *  - chip level: the LLC arbiters (alloc/chip_arbiters.hh) answer
- *    the same questions over the SharedCache domain (LLC MSHRs, bus
- *    slots, cache ways) for whole cores, recomputed every
- *    arbitration epoch.
- *
- * Fast-path contract, mirroring Policy: gatesClaims() and
- * arbEventMask() are queried once at bind, and a host skips the
- * per-event virtual dispatch for everything an arbiter declares it
- * does not consume — these hooks fire on hot paths (per rename slot
- * in the core, per LLC transaction on the chip).
+ * Inside one core, the paper's fetch and allocation policies
+ * (policy/policy.hh) read the core's ResourceTracker directly; they
+ * are not arbiters.
  */
 
 #ifndef DCRA_SMT_ALLOC_ARBITER_HH
@@ -46,20 +35,6 @@ struct ArbiterContext
     const ResourceDomain *domain = nullptr;
 };
 
-/** @name Domain events an arbiter may consume.
- * arbEventMask() declares which of the on*() hooks below an arbiter
- * actually implements; the host skips the virtual dispatch for
- * everything else.
- */
-/** @{ */
-enum ArbiterEvent : unsigned {
-    ArbEvClaim = 1u << 0,   //!< onClaim(): an entry was acquired
-    ArbEvRelease = 1u << 1, //!< onRelease(): an entry was released
-    ArbEvMiss = 1u << 2,    //!< onMiss(): a demand miss was charged
-    ArbEvAll = 0x7,
-};
-/** @} */
-
 /**
  * Abstract resource arbiter over one ResourceDomain.
  */
@@ -72,18 +47,9 @@ class ResourceArbiter
     virtual const char *name() const = 0;
 
     /** Attach to a domain; called once before simulation. */
-    void
-    bindDomain(const ArbiterContext &c)
-    {
-        actx = c;
-        onBindDomain();
-    }
+    void bindDomain(const ArbiterContext &c) { actx = c; }
 
-    /**
-     * Recompute shares at an epoch boundary. What an epoch is
-     * belongs to the host: the SMT core recomputes every cycle, the
-     * chip-level LLC every arbEpoch cycles.
-     */
+    /** Recompute shares at an arbitration-epoch boundary. */
     virtual void
     beginEpoch(std::uint64_t epoch, Cycle now)
     {
@@ -94,7 +60,7 @@ class ResourceArbiter
     /**
      * Entries of @p kind claimant @p c is currently entitled to.
      * shareUnlimited means the claimant is not capped (DCRA's fast
-     * threads/cores are never gated).
+     * cores are never gated).
      */
     virtual int
     shareOf(int c, int kind) const
@@ -104,57 +70,14 @@ class ResourceArbiter
         return shareUnlimited;
     }
 
-    /** May claimant @p c take one more entry of @p kind right now? */
-    virtual bool
-    claimAllowed(int c, int kind)
-    {
-        (void)c;
-        (void)kind;
-        return true;
-    }
-
-    /**
-     * Does this arbiter ever veto claims? Queried once at bind:
-     * when false, the host skips the per-claim claimAllowed()
-     * virtual calls entirely (mirrors Policy::gatesAllocation).
-     */
-    virtual bool gatesClaims() const { return true; }
-
-    /**
-     * Which domain events this arbiter consumes (an ArbiterEvent
-     * bitmask). Queried once at bind; the host skips the dispatch of
-     * every hook not in the mask. Defaults to all events
-     * (conservative); concrete arbiters declare exactly what they
-     * implement.
-     */
-    virtual unsigned arbEventMask() const { return ArbEvAll; }
-
-    /** @name Domain events */
-    /** @{ */
-
-    /** Claimant @p c acquired one entry of @p kind. */
+    /** Claimant @p c acquired one entry of @p kind (one call per
+     *  LLC bus transaction and per LLC miss). */
     virtual void onClaim(int c, int kind, Cycle now)
     {
         (void)c;
         (void)kind;
         (void)now;
     }
-
-    /** Claimant @p c released one entry of @p kind. */
-    virtual void onRelease(int c, int kind)
-    {
-        (void)c;
-        (void)kind;
-    }
-
-    /** A demand miss was charged to claimant @p c. */
-    virtual void onMiss(int c, Cycle now)
-    {
-        (void)c;
-        (void)now;
-    }
-
-    /** @} */
 
     /**
      * Epoch boundaries at which this arbiter changed at least one
@@ -168,8 +91,8 @@ class ResourceArbiter
      * reassignments, fast/slow transitions, way re-deals) on
      * @p eventTrack of @p hub. Called only when telemetry is
      * enabled; the default arbiter emits nothing. Emissions must
-     * happen only inside beginEpoch()/the domain-event hooks, whose
-     * invocation order is deterministic for every worker count.
+     * happen only inside beginEpoch()/onClaim(), whose invocation
+     * order is deterministic for every worker count.
      */
     virtual void attachTelemetry(TelemetryHub *hub, int eventTrack)
     {
@@ -178,9 +101,6 @@ class ResourceArbiter
     }
 
   protected:
-    /** Hook for subclasses needing setup after bindDomain(). */
-    virtual void onBindDomain() {}
-
     ArbiterContext actx;
 };
 

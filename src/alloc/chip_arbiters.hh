@@ -1,9 +1,9 @@
 /**
  * @file
- * Chip-level resource arbiters: the first clients of the
- * ResourceDomain/ResourceArbiter API above the core boundary. They
- * arbitrate the SharedCache's domain — LLC MSHRs, shared-bus slots
- * and LLC ways, with whole cores as the claimants:
+ * Chip-level resource arbiters, the implementations of the
+ * ResourceArbiter API. They arbitrate the SharedCache's domain —
+ * LLC MSHRs, shared-bus slots and LLC ways, with whole cores as the
+ * claimants:
  *
  *  - "static"    the pre-existing fixed per-core MSHR quota; never
  *                reassigns anything (byte-identical to the quota
@@ -74,8 +74,6 @@ class StaticQuotaArbiter : public ResourceArbiter
     }
 
     const char *name() const override { return "static"; }
-    bool gatesClaims() const override { return false; }
-    unsigned arbEventMask() const override { return 0; }
 
     int
     shareOf(int c, int kind) const override
@@ -101,8 +99,6 @@ class ChipDcraArbiter : public ResourceArbiter
     explicit ChipDcraArbiter(const LlcArbiterConfig &cfg);
 
     const char *name() const override { return "chip-dcra"; }
-    bool gatesClaims() const override { return false; }
-    unsigned arbEventMask() const override { return 0; }
 
     void beginEpoch(std::uint64_t epoch, Cycle now) override;
 
@@ -158,22 +154,15 @@ class WayPartitionArbiter : public ResourceArbiter
         return util ? "way-util" : "way-equal";
     }
 
-    bool gatesClaims() const override { return false; }
-
-    unsigned arbEventMask() const override
-    {
-        // Util mode meters demand through bus-slot claims (one per
-        // LLC transaction); equal mode consumes nothing.
-        return util ? ArbEvClaim : 0u;
-    }
-
     void beginEpoch(std::uint64_t epoch, Cycle now) override;
 
+    /** Util mode meters demand through bus-slot claims (one per LLC
+     *  transaction); equal mode consumes nothing. */
     void
     onClaim(int c, int kind, Cycle now) override
     {
         (void)now;
-        if (kind == ChipBus)
+        if (util && kind == ChipBus)
             ++epochAccesses[static_cast<std::size_t>(c)];
     }
 

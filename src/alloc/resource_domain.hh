@@ -1,7 +1,7 @@
 /**
  * @file
  * ResourceDomain: a named pool of claimants x resource kinds with
- * usage counters — the state side of the hierarchical allocation
+ * usage counters — the state side of the chip-level allocation
  * API. A *claimant* is whoever competes for the pool's entries
  * (hardware contexts inside one core, whole cores on the chip) and
  * a *kind* is one shared resource the pool tracks (an issue queue,
@@ -9,18 +9,17 @@
  *
  * Two instances exist today:
  *
- *  - the core-level domain: ResourceTracker (core/resource_tracker.hh)
- *    derives from this class, so the counters the paper's DCRA
- *    implementation adds to the processor *are* a ResourceDomain
- *    over (hardware context) x (iq-int, iq-fp, iq-ls, regs-int,
- *    regs-fp);
+ *  - the core's counters: ResourceTracker (core/resource_tracker.hh)
+ *    derives from this class to reuse its storage, so the counters
+ *    the paper's DCRA implementation adds to the processor are a
+ *    ResourceDomain over (hardware context) x (iq-int, iq-fp, iq-ls,
+ *    regs-int, regs-fp); policies read them directly;
  *  - the chip-level domain: SharedCache (mem/shared_cache.hh) owns a
- *    domain over (core) x (llc-mshr, llc-bus, llc-way).
+ *    domain over (core) x (llc-mshr, llc-bus, llc-way), which its
+ *    ResourceArbiter (alloc/arbiter.hh) reads to decide per-core
+ *    shares.
  *
- * A ResourceArbiter (alloc/arbiter.hh) reads a domain through its
- * ArbiterContext and decides per-claimant shares; the domain itself
- * never polices anything — it only counts, which is what keeps one
- * implementation reusable at every level of the hierarchy.
+ * The domain itself never polices anything; it only counts.
  */
 
 #ifndef DCRA_SMT_ALLOC_RESOURCE_DOMAIN_HH
@@ -146,7 +145,6 @@ class ResourceDomain
 
     int numClaimants() const { return nClaimants; }
     int numKinds() const { return static_cast<int>(kindTable.size()); }
-    const std::string &domainName() const { return dName; }
 
     /**
      * Conservation audit: per-kind occupancies are non-negative and

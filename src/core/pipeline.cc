@@ -538,7 +538,6 @@ Pipeline::issueStage()
 
             Cycle finish = 0;
             if (isLoad(d.ti.op)) {
-                ++pstats.loads[d.tid];
                 const InstHandle st = findForwardingStore(d);
                 if (st != invalidInst) {
                     finish = cycle + 1;
@@ -554,7 +553,6 @@ Pipeline::issueStage()
                         // stays on the ready list (same age slot)
                         // and replays next cycle; the port stays
                         // consumed.
-                        --pstats.loads[d.tid];
                         replayScratch.push_back(rl[r]);
                         ++r;
                         continue;
@@ -568,8 +566,6 @@ Pipeline::issueStage()
                                             d.wrongPath);
                 }
             } else {
-                if (isStore(d.ti.op))
-                    ++pstats.stores[d.tid];
                 finish = cycle + opLatency(d.ti.op, cfg);
             }
 
@@ -951,10 +947,8 @@ Pipeline::fetchStage()
             continue;
         if (static_cast<int>(ts.fetchQ.size()) >= cfg.fetchQueueSize)
             continue;
-        if (!policy.fetchAllowed(t, cycle)) {
-            ++pstats.policyFetchStalls[t];
+        if (!policy.fetchAllowed(t, cycle))
             continue;
-        }
         int rr = static_cast<int>(t) + rrThread;
         if (rr >= cfg.numThreads)
             rr -= cfg.numThreads;

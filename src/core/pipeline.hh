@@ -58,11 +58,8 @@ struct PipelineStats
     std::uint64_t squashed[maxThreads] = {};
     std::uint64_t condBranches[maxThreads] = {};
     std::uint64_t mispredicts[maxThreads] = {};
-    std::uint64_t loads[maxThreads] = {};
-    std::uint64_t stores[maxThreads] = {};
     std::uint64_t storeForwards[maxThreads] = {};
     std::uint64_t flushes[maxThreads] = {};
-    std::uint64_t policyFetchStalls[maxThreads] = {};
 
     /** Committed IPC of one thread. */
     double
@@ -160,13 +157,6 @@ class Pipeline
     /** Hardware usage counters (also what policies see). */
     const ResourceTracker &tracker() const { return rtracker; }
 
-    /** DCRA-style phase test: does t have a pending L1D load miss? */
-    bool
-    threadSlow(ThreadID t) const
-    {
-        return mem.pendingL1DLoads(t) > 0;
-    }
-
     /** @name Thread-migration hooks (chip layer)
      * The drain-squash-migrate handoff: beginDrain() stops fetch for
      * a context while its in-flight instructions keep committing;
@@ -222,29 +212,8 @@ class Pipeline
     int numThreads() const { return cfg.numThreads; }
     const SmtConfig &config() const { return cfg; }
 
-    /** First cycle thread t may fetch again (I-miss / redirect). */
-    Cycle fetchBlockedUntil(ThreadID t) const
-    {
-        return threads[t].fetchResumeCycle;
-    }
-
-    /** Occupancy of thread t's fetch buffer. */
-    int fetchQSize(ThreadID t) const
-    {
-        return static_cast<int>(threads[t].fetchQ.size());
-    }
-
-    /** Is thread t currently fetching down a wrong path? */
-    bool onWrongPath(ThreadID t) const
-    {
-        return threads[t].wrongPathMode;
-    }
-
     /** Instructions on one queue's ready list (wakeup tests). */
     int readyCount(QueueClass qc) const;
-
-    /** The per-register consumer lists (wakeup tests). */
-    const WakeupTable &wakeupTable() const { return wakeup; }
     /** @} */
 
   private:

@@ -8,13 +8,12 @@
  * ordering, and per-resource last-allocation cycles from which the
  * activity classification is derived.
  *
- * The tracker *is* the core-level ResourceDomain instance of the
- * hierarchical allocation API (alloc/resource_domain.hh): hardware
- * contexts are the claimants and the five shared resources are the
- * kinds, so core-level policies and chip-level arbiters read their
- * usage state through one interface. The historical typed accessors
- * (ResourceType-first argument order) are kept as the pipeline's
- * hot-path entry points; they hide the base's (claimant, kind)
+ * The tracker reuses ResourceDomain's counters and audit
+ * (alloc/resource_domain.hh), the same storage the shared LLC counts
+ * its per-core usage in: hardware contexts are the claimants and the
+ * five shared resources are the kinds. The typed accessors
+ * (ResourceType-first argument order) are the pipeline's and the
+ * policies' entry points; they hide the base's (claimant, kind)
  * overloads, which remain reachable through a ResourceDomain
  * reference.
  */

@@ -27,7 +27,6 @@ MemorySystem::MemorySystem(const MemParams &params, int numThreads)
     sL1dMiss.assign(numThreads, 0);
     sL2Acc.assign(numThreads, 0);
     sL2Miss.assign(numThreads, 0);
-    sDtlbMiss.assign(numThreads, 0);
 }
 
 MemAccessResult
@@ -63,8 +62,6 @@ MemorySystem::dataAccess(ThreadID tid, Addr addr, bool isLoad,
     // Committed to perform the access.
     const bool dtlbMiss = !dtlbs[tid].access(addr);
     const Cycle penalty = dtlbMiss ? p.tlbMissPenalty : 0;
-    if (dtlbMiss)
-        ++sDtlbMiss[tid];
     ++sL1dAcc[tid];
 
     if (merged) {
@@ -184,7 +181,6 @@ MemorySystem::resetStats()
     std::fill(sL1dMiss.begin(), sL1dMiss.end(), 0);
     std::fill(sL2Acc.begin(), sL2Acc.end(), 0);
     std::fill(sL2Miss.begin(), sL2Miss.end(), 0);
-    std::fill(sDtlbMiss.begin(), sDtlbMiss.end(), 0);
 }
 
 } // namespace smt

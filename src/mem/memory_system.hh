@@ -129,7 +129,7 @@ class MemorySystem
     int
     outstandingMemLoads() const
     {
-        return mshrD.outstandingLoads(ServiceLevel::Memory);
+        return mshrD.outstandingMemLoads();
     }
 
     /** @name Per-thread data-side statistics */
@@ -141,7 +141,6 @@ class MemorySystem
         return sL2Acc[t];
     }
     std::uint64_t l2DataMisses(ThreadID t) const { return sL2Miss[t]; }
-    std::uint64_t dtlbMisses(ThreadID t) const { return sDtlbMiss[t]; }
     /** @} */
 
     /** Underlying caches, exposed for tests and reporting. */
@@ -190,7 +189,6 @@ class MemorySystem
     std::vector<std::uint64_t> sL1dMiss;
     std::vector<std::uint64_t> sL2Acc;
     std::vector<std::uint64_t> sL2Miss;
-    std::vector<std::uint64_t> sDtlbMiss;
 };
 
 } // namespace smt

@@ -71,17 +71,4 @@ MshrFile::retire(Cycle now)
     return released;
 }
 
-int
-MshrFile::outstandingLoads(ServiceLevel level) const
-{
-    if (level == ServiceLevel::Memory)
-        return memLoadTotal;
-    int n = 0;
-    for (const auto &e : entries) {
-        if (e.valid && e.isLoad && e.level == level)
-            ++n;
-    }
-    return n;
-}
-
 } // namespace smt

@@ -75,8 +75,8 @@ class MshrFile
         return n;
     }
 
-    /** Outstanding load misses at exactly the given level, all threads. */
-    int outstandingLoads(ServiceLevel level) const;
+    /** Outstanding memory-level load misses, all threads. */
+    int outstandingMemLoads() const { return memLoadTotal; }
 
     /** Outstanding load misses at the given level for one thread. */
     int

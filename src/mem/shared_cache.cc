@@ -108,7 +108,6 @@ SharedCache::SharedCache(const SharedCacheParams &params,
     SMT_ASSERT(arb != nullptr, "null LLC arbiter");
 
     arb->bindDomain({&dom});
-    arbEvents = arb->arbEventMask();
 
     outstanding.resize(static_cast<std::size_t>(numCores));
     for (auto &v : outstanding)
@@ -218,11 +217,8 @@ SharedCache::setHostProfiler(HostProfiler *prof)
 void
 SharedCache::releaseMshrs(int core, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
         dom.release(core, ChipMshr);
-        if (arbEvents & ArbEvRelease)
-            arb->onRelease(core, ChipMshr);
-    }
 }
 
 void
@@ -230,11 +226,8 @@ SharedCache::rollBusWindow(int core, std::uint64_t window)
 {
     // The previous window's transactions leave the domain; the
     // counter starts over for the new window.
-    for (int i = 0; i < busUsed[core]; ++i) {
+    for (int i = 0; i < busUsed[core]; ++i)
         dom.release(core, ChipBus);
-        if (arbEvents & ArbEvRelease)
-            arb->onRelease(core, ChipBus);
-    }
     busUsed[core] = 0;
     busWin[static_cast<std::size_t>(core)] = window;
 }
@@ -358,8 +351,7 @@ SharedCache::access(int core, Addr addr, Cycle now)
     }
     ++busUsed[core];
     dom.acquire(core, ChipBus, start);
-    if (arbEvents & ArbEvClaim)
-        arb->onClaim(core, ChipBus, start);
+    arb->onClaim(core, ChipBus, start);
 
     // Shared bus: one transaction at a time, fixed occupancy.
     const Cycle grant = std::max(start, busFreeAt);
@@ -379,10 +371,7 @@ SharedCache::access(int core, Addr addr, Cycle now)
                          wayMask[static_cast<std::size_t>(core)]));
     out.push_back(res.ready);
     dom.acquire(core, ChipMshr, now);
-    if (arbEvents & ArbEvClaim)
-        arb->onClaim(core, ChipMshr, now);
-    if (arbEvents & ArbEvMiss)
-        arb->onMiss(core, now);
+    arb->onClaim(core, ChipMshr, now);
     return res;
 }
 

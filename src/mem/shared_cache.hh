@@ -11,7 +11,7 @@
  * Single-core configurations never instantiate this level, which is
  * what keeps `--cores 1` byte-identical to the single-core machine.
  *
- * Arbitration is delegated to the hierarchical allocation API
+ * Arbitration is delegated to the chip-level allocation API
  * (alloc/): the SharedCache owns the chip-level ResourceDomain —
  * cores are the claimants; LLC MSHRs, bus slots per window and LLC
  * ways are the kinds — and consults a ResourceArbiter for each
@@ -248,7 +248,6 @@ class SharedCache
 
     ResourceDomain dom;
     std::unique_ptr<ResourceArbiter> arb;
-    unsigned arbEvents = 0; //!< cached arbEventMask()
 
     /** Parallel-tick ordering gate; null in serial execution. */
     LlcAccessGate *gate = nullptr;

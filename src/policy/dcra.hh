@@ -56,11 +56,10 @@ class DcraPolicy : public Policy
     bool fetchAllowed(ThreadID t, Cycle now) override;
 
     /**
-     * The arbiter-API view of the dynamic entitlements: a slow
-     * thread active for a resource is entitled to the sharing
-     * model's E_slow; everyone else is unconstrained (the machine
-     * total), the paper's asymmetry. Valid after the first
-     * beginCycle().
+     * The dynamic entitlements: a slow thread active for a
+     * resource is entitled to the sharing model's E_slow; everyone
+     * else is unconstrained (the machine total), the paper's
+     * asymmetry. Valid after the first beginCycle().
      */
     int
     shareOf(int c, int kind) const override
@@ -88,9 +87,6 @@ class DcraPolicy : public Policy
 
     /** Is t currently fetch-gated? */
     bool isGated(ThreadID t) const { return gatedMask[t]; }
-
-    /** Fast<->slow phase transitions of t since bind (telemetry). */
-    std::uint64_t phaseFlips(ThreadID t) const { return flips[t]; }
 
     /** @} */
 

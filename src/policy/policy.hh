@@ -16,16 +16,9 @@
  *
  * The pipeline pushes events (data accesses, load completion/squash,
  * fetched loads, commits) into the policy; the policy reads the
- * hardware usage counters through the PolicyContext.
- *
- * A Policy is the *core-level* ResourceArbiter of the hierarchical
- * allocation API (alloc/arbiter.hh): its domain is the core's
- * ResourceTracker, its claimants are hardware contexts, its epoch
- * is the cycle (beginEpoch forwards to beginCycle), and the generic
- * claimAllowed()/shareOf() answers are backed by allocAllowed() and
- * each policy's entitlement state — SRA's 1/T caps, DCRA's E_slow
- * limits. Chip-level arbiters (alloc/chip_arbiters.hh) answer the
- * same questions for whole cores over the shared-LLC domain.
+ * hardware usage counters (the core's ResourceTracker) through the
+ * PolicyContext. The chip-level LLC arbiters (alloc/arbiter.hh) are
+ * a separate API.
  */
 
 #ifndef DCRA_SMT_POLICY_POLICY_HH
@@ -33,7 +26,6 @@
 
 #include <string>
 
-#include "alloc/arbiter.hh"
 #include "common/types.hh"
 #include "core/resource_tracker.hh"
 #include "core/resources.hh"
@@ -41,6 +33,8 @@
 #include "mem/memory_system.hh"
 
 namespace smt {
+
+class TelemetryHub;
 
 /** Read-only state a policy may inspect. */
 struct PolicyContext
@@ -70,67 +64,34 @@ enum PolicyEvent : unsigned {
 /**
  * Abstract fetch / resource-allocation policy.
  */
-class Policy : public ResourceArbiter
+class Policy
 {
   public:
-    /** Human-readable policy name ("DCRA", "FLUSH++", ...). */
-    const char *name() const override = 0;
+    virtual ~Policy() = default;
 
-    /** Attach to a core; called once before simulation. The core's
-     *  ResourceTracker is the arbitrated domain. */
+    /** Human-readable policy name ("DCRA", "FLUSH++", ...). */
+    virtual const char *name() const = 0;
+
+    /** Attach to a core; called once before simulation. */
     void
     bind(const PolicyContext &c)
     {
         ctx = c;
-        bindDomain({c.tracker});
         onBind();
     }
 
-    /** @name Core-level ResourceArbiter mapping
-     * The generic arbitration vocabulary expressed through the
-     * policy's own state: the epoch is the cycle, claims are rename
-     * allocations, and shares default to the machine total (no
-     * partitioning) unless a policy computes entitlements.
-     */
-    /** @{ */
-
-    /** The core recomputes shares every cycle. */
-    void
-    beginEpoch(std::uint64_t epoch, Cycle now) final
-    {
-        (void)epoch;
-        beginCycle(now);
-    }
-
-    /** Claims at the core level are rename-stage allocations. */
-    bool
-    claimAllowed(int c, int kind) final
-    {
-        return allocAllowed(static_cast<ThreadID>(c),
-                            static_cast<ResourceType>(kind));
-    }
-
-    bool gatesClaims() const final { return gatesAllocation(); }
-
     /**
-     * Entries of a resource thread @p c is entitled to. The default
-     * is the machine total (fetch-ordering policies never partition
-     * anything); SRA and DCRA override with their caps/limits.
+     * Entries of resource @p kind thread @p c is entitled to. The
+     * default is the machine total (fetch-ordering policies never
+     * partition anything); SRA and DCRA override with their
+     * caps/limits.
      */
-    int
-    shareOf(int c, int kind) const override
+    virtual int
+    shareOf(int c, int kind) const
     {
         (void)c;
-        return ctx.cfg
-            ? ctx.cfg->resourceTotal(static_cast<ResourceType>(kind))
-            : shareUnlimited;
+        return ctx.cfg->resourceTotal(static_cast<ResourceType>(kind));
     }
-
-    /** Policies consume pipeline events (eventMask() below), not
-     *  the domain-event stream. */
-    unsigned arbEventMask() const final { return 0; }
-
-    /** @} */
 
     /** Called at the start of every cycle before any stage runs. */
     virtual void beginCycle(Cycle now) { (void)now; }

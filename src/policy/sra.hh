@@ -29,7 +29,7 @@ class SraPolicy : public Policy
         return ctx.tracker->occupancy(r, t) < share[r];
     }
 
-    /** The arbiter-API view of the hard 1/T entitlement. */
+    /** The hard 1/T entitlement. */
     int
     shareOf(int c, int kind) const override
     {

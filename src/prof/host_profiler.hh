@@ -78,7 +78,6 @@ class HostProfiler
 
     /** Keep per-event spans for the Chrome-trace merge. */
     void enableSpans(bool on) { spansOn = on; }
-    bool spansEnabled() const { return spansOn; }
 
     /**
      * Append one free-form NDJSON record (a complete one-line JSON

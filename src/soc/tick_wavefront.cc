@@ -132,26 +132,13 @@ TickWavefront::enter(int core)
     const Cycle t = me.done.load(std::memory_order_relaxed) + 1;
     if (me.granted == t)
         return;
-    if (!hprof) {
-        for (int k = 0; k < nCores; ++k) {
-            if (k == core)
-                continue;
-            const Cycle need = needFrom(k, core, t);
-            unsigned spins = 0;
-            while (cs[static_cast<std::size_t>(k)].done.load(
-                       std::memory_order_acquire) < need)
-                backoff(spins);
-        }
-        me.granted = t;
-        return;
-    }
 
-    // Profiled wait: accumulate into locals while blocked and store
-    // once at the end, so this core's cache line (which other cores
-    // spin on) is not bounced mid-wait.
+    // Tally the wait in locals and store once at the end, so this
+    // core's stats line is not written mid-wait; the clock is read
+    // only when a profiler is attached.
     std::uint64_t t0 = 0;
     std::uint64_t spinAcc = 0, yieldAcc = 0;
-    bool blocked = false, escalated = false;
+    bool escalated = false;
     int firstAwaited = -1;
     for (int k = 0; k < nCores; ++k) {
         if (k == core)
@@ -160,10 +147,10 @@ TickWavefront::enter(int core)
         unsigned spins = 0;
         while (cs[static_cast<std::size_t>(k)].done.load(
                    std::memory_order_acquire) < need) {
-            if (!blocked) {
-                blocked = true;
+            if (firstAwaited < 0) {
                 firstAwaited = k;
-                t0 = hprof->nowNs();
+                if (hprof)
+                    t0 = hprof->nowNs();
             }
             backoff(spins);
         }
@@ -174,7 +161,7 @@ TickWavefront::enter(int core)
         }
     }
     me.granted = t;
-    if (!blocked)
+    if (!hprof || firstAwaited < 0)
         return;
     const std::uint64_t t1 = hprof->nowNs();
     WaveStats &ws = stats[static_cast<std::size_t>(core)];

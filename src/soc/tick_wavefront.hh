@@ -130,7 +130,8 @@ class TickWavefront : public LlcAccessGate
      * Per-core gate-wait counters, mutated only by the worker that
      * owns the core (one plain store per *blocked* enter(), after
      * the wait resolves) and read only after the workers joined.
-     * With no profiler attached enter() pays a single null test.
+     * With no profiler attached enter() reads no clock and stores
+     * no counter.
      */
     /** @{ */
     struct WaveStats

@@ -2,9 +2,9 @@
  * @file
  * Vendored single-header GoogleTest-compatible shim.
  *
- * The real GoogleTest is preferred (system package or FetchContent);
- * this header exists so `cmake && ctest` works on a machine with no
- * network and no gtest installed. It implements exactly the subset of
+ * A system GoogleTest is preferred when installed; this header
+ * exists so `cmake && ctest` works on a machine with no gtest
+ * package. It implements exactly the subset of
  * the gtest API this repository's tests use:
  *
  *   TEST, TEST_F, TEST_P, INSTANTIATE_TEST_SUITE_P,

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the hierarchical allocation layer (src/alloc/): the
+ * Tests for the allocation layer (src/alloc/): the
  * ResourceDomain accounting contract (conservation, recency,
  * audits), the name-keyed registries shared by policies and LLC
- * arbiters, the Policy-as-core-arbiter mapping (shareOf /
- * claimAllowed backed by SRA/DCRA state), way-mask enforcement on
+ * arbiters, the policies' per-thread shares (shareOf and
+ * allocAllowed backed by SRA state), way-mask enforcement on
  * cache victim selection, chip-DCRA share recomputation at epoch
  * boundaries, way-partitioning occupancy effects, and a checked-in
  * 2-core ChipDCRA golden with per-core commit-stream hashes.
@@ -161,7 +161,7 @@ TEST(Registry, ArbiterNames)
 }
 
 // ---------------------------------------------------------------
-// Policy as the core-level arbiter
+// policy shares and allocation caps
 // ---------------------------------------------------------------
 
 TEST(PolicyArbiter, SraSharesAreTheHardCaps)
@@ -173,27 +173,26 @@ TEST(PolicyArbiter, SraSharesAreTheHardCaps)
     ResourceTracker tracker(cfg.numThreads);
 
     SraPolicy sra;
-    ResourceArbiter &arb = sra; // the generic view
+    Policy &pol = sra; // the generic view
     sra.bind({&cfg, &tracker, &mem});
 
     for (int r = 0; r < NumResourceTypes; ++r) {
         const auto rt = static_cast<ResourceType>(r);
         const int want = cfg.resourceTotal(rt) / cfg.numThreads;
-        EXPECT_EQ(arb.shareOf(0, r), want) << resourceName(rt);
-        EXPECT_EQ(arb.shareOf(3, r), want) << resourceName(rt);
+        EXPECT_EQ(pol.shareOf(0, r), want) << resourceName(rt);
+        EXPECT_EQ(pol.shareOf(3, r), want) << resourceName(rt);
     }
-    EXPECT_TRUE(arb.gatesClaims());
+    EXPECT_TRUE(pol.gatesAllocation());
 
-    // claimAllowed is allocAllowed: fill thread 0 to its int-IQ cap
-    // and the generic claim must flip to denied.
-    const int cap = arb.shareOf(0, ResIqInt);
+    // The share is the allocAllowed cap: fill thread 0 to its int-IQ
+    // share and its next allocation must flip to denied.
+    const int cap = pol.shareOf(0, ResIqInt);
     for (int i = 0; i < cap; ++i) {
-        EXPECT_TRUE(arb.claimAllowed(0, ResIqInt));
+        EXPECT_TRUE(pol.allocAllowed(0, ResIqInt));
         tracker.allocate(ResIqInt, 0, 1);
     }
-    EXPECT_FALSE(arb.claimAllowed(0, ResIqInt));
-    EXPECT_FALSE(sra.allocAllowed(0, ResIqInt));
-    EXPECT_TRUE(arb.claimAllowed(1, ResIqInt));
+    EXPECT_FALSE(pol.allocAllowed(0, ResIqInt));
+    EXPECT_TRUE(pol.allocAllowed(1, ResIqInt));
 }
 
 TEST(PolicyArbiter, FetchPoliciesNeverPartition)
@@ -206,12 +205,12 @@ TEST(PolicyArbiter, FetchPoliciesNeverPartition)
 
     IcountPolicy icount;
     icount.bind({&cfg, &tracker, &mem});
-    ResourceArbiter &arb = icount;
-    EXPECT_FALSE(arb.gatesClaims()); // fast-path contract preserved
+    Policy &pol = icount;
+    EXPECT_FALSE(pol.gatesAllocation()); // fast-path contract
     for (int r = 0; r < NumResourceTypes; ++r) {
-        EXPECT_EQ(arb.shareOf(0, r),
-                  cfg.resourceTotal(static_cast<ResourceType>(r)));
-        EXPECT_TRUE(arb.claimAllowed(0, r));
+        const auto rt = static_cast<ResourceType>(r);
+        EXPECT_EQ(pol.shareOf(0, r), cfg.resourceTotal(rt));
+        EXPECT_TRUE(pol.allocAllowed(0, rt));
     }
 }
 
@@ -378,8 +377,6 @@ class BusCapArbiter : public ResourceArbiter
 {
   public:
     const char *name() const override { return "bus-cap"; }
-    bool gatesClaims() const override { return false; }
-    unsigned arbEventMask() const override { return 0; }
 
     int
     shareOf(int c, int kind) const override

@@ -142,7 +142,7 @@ TEST(Mshr, PendingLoadCountsByThreadAndLevel)
     EXPECT_EQ(m.pendingLoads(0, ServiceLevel::L2), 2);
     EXPECT_EQ(m.pendingLoads(0, ServiceLevel::Memory), 1);
     EXPECT_EQ(m.pendingLoads(1, ServiceLevel::L2), 1);
-    EXPECT_EQ(m.outstandingLoads(ServiceLevel::Memory), 2);
+    EXPECT_EQ(m.outstandingMemLoads(), 2);
     EXPECT_EQ(m.outstandingLoads(0, ServiceLevel::Memory), 1);
 }
 
@@ -153,7 +153,7 @@ TEST(Mshr, CountsDropAtRetire)
     EXPECT_EQ(m.pendingLoads(2, ServiceLevel::L2), 1);
     m.retire(10);
     EXPECT_EQ(m.pendingLoads(2, ServiceLevel::L2), 0);
-    EXPECT_EQ(m.outstandingLoads(ServiceLevel::Memory), 0);
+    EXPECT_EQ(m.outstandingMemLoads(), 0);
 }
 
 TEST(Tlb, HitAfterMiss)

@@ -249,8 +249,6 @@ class FlipToUnpartitionedArbiter : public ResourceArbiter
     explicit FlipToUnpartitionedArbiter(int ways_) : ways(ways_) {}
 
     const char *name() const override { return "flip-unpart"; }
-    bool gatesClaims() const override { return false; }
-    unsigned arbEventMask() const override { return 0; }
 
     void
     beginEpoch(std::uint64_t epoch, Cycle now) override
@@ -306,8 +304,6 @@ class ZeroShareArbiter : public ResourceArbiter
     explicit ZeroShareArbiter(int kind_) : kind(kind_) {}
 
     const char *name() const override { return "zero-share"; }
-    bool gatesClaims() const override { return false; }
-    unsigned arbEventMask() const override { return 0; }
 
     int
     shareOf(int c, int k) const override
@@ -372,8 +368,6 @@ class OneBusSlotArbiter : public ResourceArbiter
 {
   public:
     const char *name() const override { return "one-bus-slot"; }
-    bool gatesClaims() const override { return false; }
-    unsigned arbEventMask() const override { return 0; }
 
     int
     shareOf(int c, int kind) const override
