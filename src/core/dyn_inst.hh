@@ -8,6 +8,7 @@
 #ifndef DCRA_SMT_CORE_DYN_INST_HH
 #define DCRA_SMT_CORE_DYN_INST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -148,17 +149,21 @@ struct DynInst
  * instruction outweigh any locality gain while the slab fits in
  * cache. Revisit only with pool capacities far beyond the current
  * few hundred records.
+ *
+ * The slab is reserved, not filled: a record is built on its first
+ * allocation, so a machine pays (and its process holds) only the
+ * records it ever had in flight, not the whole capacity up front.
+ * A handle never allocated before is always the lowest such one, so
+ * the slab's size stands in for the unbuilt tail of the free list.
  */
 class InstPool
 {
   public:
     /** @param capacity maximum simultaneous in-flight instructions. */
-    explicit InstPool(std::size_t capacity)
-        : slab(capacity)
+    explicit InstPool(std::size_t capacity) : cap(capacity)
     {
+        slab.reserve(capacity);
         freeList.reserve(capacity);
-        for (std::size_t i = capacity; i > 0; --i)
-            freeList.push_back(static_cast<InstHandle>(i - 1));
     }
 
     /**
@@ -172,16 +177,20 @@ class InstPool
 
     /**
      * Allocate an instruction record with all pipeline state reset.
-     * The `ti` and `snap` payload blocks are NOT cleared — they hold
-     * whatever the slot's previous occupant left, and the caller
-     * (the fetch stage, the pool's only client) must assign both
-     * before any other stage sees the record.
+     * The `ti` and `snap` payload blocks of a reused record are NOT
+     * cleared — they hold whatever the slot's previous occupant
+     * left, and the caller (the fetch stage, the pool's only client)
+     * must assign both before any other stage sees the record.
      */
     InstHandle
     alloc()
     {
-        SMT_ASSERT(!freeList.empty(), "InstPool exhausted (cap %zu)",
-                   slab.size());
+        if (freeList.empty()) {
+            SMT_ASSERT(slab.size() < cap, "InstPool exhausted (cap %zu)",
+                       cap);
+            slab.emplace_back();
+            return static_cast<InstHandle>(slab.size() - 1);
+        }
         const InstHandle h = freeList.back();
         freeList.pop_back();
         slab[h].resetForFetch();
@@ -204,11 +213,14 @@ class InstPool
     std::size_t live() const { return slab.size() - freeList.size(); }
 
     /** Capacity. */
-    std::size_t capacity() const { return slab.size(); }
+    std::size_t capacity() const { return cap; }
 
   private:
+    /** Records built so far; reserved to cap, so it never moves and
+     *  handles >= its size are the unbuilt tail of the free list. */
     std::vector<DynInst> slab;
-    std::vector<InstHandle> freeList;
+    std::size_t cap;
+    std::vector<InstHandle> freeList; //!< freed built records, LIFO
 };
 
 } // namespace smt

@@ -50,13 +50,10 @@ Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
             continue;
         }
         SMT_ASSERT(programs[t].profile, "thread %d has no profile", t);
-        ts.trace = programs[t].trace;
-        ts.prof = programs[t].profile;
-        ts.wpSynth.init(*ts.prof);
-        ts.addrBase = programs[t].addrBase != ~0ull
-            ? programs[t].addrBase
-            : static_cast<Addr>(t) * threadAddrStride;
-        ts.fetchPc = ts.trace->peek().pc + ts.addrBase;
+        bindProgram(t, programs[t],
+                    programs[t].addrBase != ~0ull
+                        ? programs[t].addrBase
+                        : static_cast<Addr>(t) * threadAddrStride);
     }
 
     policy.bind({&cfg, &rtracker, &mem});
@@ -1124,6 +1121,31 @@ Pipeline::detachThread(ThreadID t)
 }
 
 void
+Pipeline::bindProgram(ThreadID t, const ThreadProgram &prog,
+                      Addr addrBase)
+{
+    // A squash rewinds the trace past every correct-path instruction
+    // the context has consumed but not committed (at most a full ROB
+    // plus a full fetch queue) and the one peek() generated ahead.
+    const std::uint64_t depth =
+        static_cast<std::uint64_t>(cfg.robSize) +
+        static_cast<std::uint64_t>(cfg.fetchQueueSize) + 1;
+    SMT_ASSERT(prog.trace->replayWindow() >= depth,
+               "thread %d: trace replay window %llu is shorter than "
+               "ROB %d + fetch queue %d + 1",
+               t,
+               static_cast<unsigned long long>(
+                   prog.trace->replayWindow()),
+               cfg.robSize, cfg.fetchQueueSize);
+    ThreadState &ts = threads[t];
+    ts.trace = prog.trace;
+    ts.prof = prog.profile;
+    ts.wpSynth.init(*ts.prof);
+    ts.addrBase = addrBase;
+    ts.fetchPc = ts.trace->peek().pc + ts.addrBase;
+}
+
+void
 Pipeline::attachThread(ThreadID t, const ThreadProgram &prog)
 {
     SMT_ASSERT(t >= 0 && t < cfg.numThreads, "bad attach tid %d", t);
@@ -1135,11 +1157,7 @@ Pipeline::attachThread(ThreadID t, const ThreadProgram &prog)
     SMT_ASSERT(robBuf.empty(t) && ts.fetchQ.empty(),
                "attach to a context with in-flight state");
 
-    ts.trace = prog.trace;
-    ts.prof = prog.profile;
-    ts.wpSynth.init(*ts.prof);
-    ts.addrBase = prog.addrBase;
-    ts.fetchPc = ts.trace->peek().pc + ts.addrBase;
+    bindProgram(t, prog, prog.addrBase);
     ts.wrongPathMode = false;
     ts.draining = false;
     // Resume next cycle so an attach between two ticks never lets

@@ -282,6 +282,10 @@ class Pipeline
     InstHandle findForwardingStore(const DynInst &load) const;
     bool capBlocked(ThreadID t, ResourceType r) const;
     void pushWheel(InstHandle h, Cycle finish);
+    /** Point context t at a program. Asserts that the trace can
+     *  rewind as far as a squash of t can reach. */
+    void bindProgram(ThreadID t, const ThreadProgram &prog,
+                     Addr addrBase);
 
     /** @name Event-driven issue bookkeeping */
     /** @{ */

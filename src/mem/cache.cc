@@ -14,7 +14,11 @@ Cache::Cache(const CacheParams &params)
                p.name.c_str());
     SMT_ASSERT(isPow2(static_cast<std::uint64_t>(p.lineSize)),
                "%s: line size must be a power of two", p.name.c_str());
-    SMT_ASSERT(p.assoc >= 1, "%s: bad associativity", p.name.c_str());
+    // Way masks are 32 bits wide (fillWays), and insert() keeps its
+    // per-set next way in one byte.
+    SMT_ASSERT(p.assoc >= 1 && p.assoc <= 32,
+               "%s: associativity %d outside 1..32", p.name.c_str(),
+               p.assoc);
     SMT_ASSERT(p.banks >= 1 &&
                isPow2(static_cast<std::uint64_t>(p.banks)),
                "%s: banks must be a power of two", p.name.c_str());
@@ -34,9 +38,15 @@ Cache::Cache(const CacheParams &params)
     setMask = static_cast<Addr>(sets) - 1;
     tagShift =
         lineShift + log2Exact(static_cast<std::uint64_t>(sets));
+    // A tag drops at least one address bit, so it is never all ones
+    // and can stand for "invalid".
+    SMT_ASSERT(tagShift >= 1,
+               "%s: a one-byte way leaves no tag value for invalid",
+               p.name.c_str());
     bankMask = static_cast<Addr>(p.banks) - 1;
     lines.resize(static_cast<std::size_t>(sets) * p.assoc);
     bankBusy.assign(p.banks, neverCycle);
+    nextWay.assign(static_cast<std::size_t>(sets), 0);
 }
 
 bool
@@ -47,7 +57,7 @@ Cache::access(Addr addr)
     const Addr tag = tagOf(addr);
     Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].tag == tag) {
             base[w].lruStamp = ++stampCounter;
             return true;
         }
@@ -64,13 +74,13 @@ Cache::fillWays(Addr addr, std::uint32_t wayMask)
     Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     Line *victim = nullptr;
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].tag == tag) {
             base[w].lruStamp = ++stampCounter; // already present
             return set * p.assoc + w;
         }
         if (!((wayMask >> w) & 1u))
             continue; // way owned by another claimant
-        if (!base[w].valid) {
+        if (base[w].tag == invalidTag) {
             victim = &base[w];
             break;
         }
@@ -80,7 +90,6 @@ Cache::fillWays(Addr addr, std::uint32_t wayMask)
     SMT_ASSERT(victim != nullptr,
                "%s: way mask 0x%x allows none of %d ways",
                p.name.c_str(), wayMask, p.assoc);
-    victim->valid = true;
     victim->tag = tag;
     victim->lruStamp = ++stampCounter;
     return static_cast<int>(victim - base) + set * p.assoc;
@@ -93,22 +102,10 @@ Cache::probe(Addr addr) const
     const Addr tag = tagOf(addr);
     const Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     }
     return false;
-}
-
-void
-Cache::invalidate(Addr addr)
-{
-    const int set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
-    for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            base[w].valid = false;
-    }
 }
 
 bool

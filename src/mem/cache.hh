@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace smt {
@@ -49,6 +50,32 @@ class Cache
     void fill(Addr addr) { (void)fillWays(addr, allWays); }
 
     /**
+     * Prewarm: allocate the line containing addr in O(1), exactly
+     * where fill() would put it. Exact only while the cache has
+     * seen nothing but insert() calls, each of a line not inserted
+     * before: then the k-th insertion into a set lands in way
+     * k mod assoc with the next stamp, which is the way (first
+     * invalid, else least recently used) and stamp fill() picks.
+     * The first condition is checked (any access hit or fill
+     * advances the stamp counter past the insertion count and makes
+     * this panic); the second is the caller's to guarantee.
+     */
+    void
+    insert(Addr addr)
+    {
+        SMT_ASSERT(stampCounter == nInserted,
+                   "%s: insert() after the cache was accessed",
+                   p.name.c_str());
+        const auto set = static_cast<std::size_t>(setIndex(addr));
+        std::uint8_t &way = nextWay[set];
+        Line &l = lines[set * p.assoc + way];
+        l.tag = tagOf(addr);
+        l.lruStamp = ++stampCounter;
+        ++nInserted;
+        way = way + 1 == p.assoc ? 0 : static_cast<std::uint8_t>(way + 1);
+    }
+
+    /**
      * Allocate (or refresh) the line, restricting victim selection
      * to the ways whose bit is set in @p wayMask — the enforcement
      * point for way partitioning. A line already present in *any*
@@ -66,8 +93,8 @@ class Cache
     /** LRU-update-free lookup for tests and probes. */
     bool probe(Addr addr) const;
 
-    /** Invalidate the line containing addr if present. */
-    void invalidate(Addr addr);
+    /** True until a line is first placed (a hit needs one). */
+    bool empty() const { return stampCounter == 0; }
 
     /**
      * Try to claim the bank for addr in the given cycle.
@@ -100,12 +127,17 @@ class Cache
     const CacheParams &params() const { return p; }
 
   private:
+    /** No address maps to this tag: a tag is an address shifted
+     *  right by at least one bit (asserted in the constructor). */
+    static constexpr Addr invalidTag = ~Addr(0);
+
+    /** 16 bytes: "invalid" lives in the tag, not in a flag. */
     struct Line
     {
-        Addr tag = 0;
+        Addr tag = invalidTag;
         std::uint64_t lruStamp = 0;
-        bool valid = false;
     };
+    static_assert(sizeof(Line) == 16, "a cache line entry is 16 bytes");
 
     /** All pow2 geometry (asserted in the constructor), so the
      *  per-access index/tag/bank math is pure shift and mask. */
@@ -126,7 +158,12 @@ class Cache
     Addr bankMask;   //!< banks - 1
     std::vector<Line> lines;        //!< sets * assoc, row-major
     std::vector<Cycle> bankBusy;    //!< last cycle each bank served
+    /** insert()'s next way per set (its insertion count mod assoc). */
+    std::vector<std::uint8_t> nextWay;
     std::uint64_t stampCounter = 0;
+    /** insert() calls so far. Every set mutation advances
+     *  stampCounter, so equality means only insert() ever ran. */
+    std::uint64_t nInserted = 0;
     std::uint64_t nAccesses = 0;
     std::uint64_t nMisses = 0;
 };

@@ -119,8 +119,9 @@ class SharedCache
      */
     LlcResult access(int core, Addr addr, Cycle now);
 
-    /** Pre-warm: allocate the line without stats or arbitration. */
-    void fill(Addr addr) { llc.fill(addr); }
+    /** Pre-warm: Cache::insert (O(1), same contract) on the tags,
+     *  without stats or arbitration; the line stays unowned. */
+    void insert(Addr addr) { llc.insert(addr); }
 
     /** Zero statistics; tags and arbitration state are untouched. */
     void resetStats();

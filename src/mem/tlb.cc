@@ -14,8 +14,8 @@ Tlb::Tlb(const TlbParams &params)
     // Pow2 page size and set count make the per-access vpn/set math
     // shift and mask (this is the same hot-path rule the caches
     // follow; the TLB sits on every fetch and data access).
-    SMT_ASSERT(isPow2(p.pageBytes),
-               "TLB page size must be a power of two");
+    SMT_ASSERT(isPow2(p.pageBytes) && p.pageBytes > 1,
+               "TLB page size must be a power of two above one");
     SMT_ASSERT(isPow2(static_cast<std::uint64_t>(sets)),
                "TLB set count must be a power of two");
     pageShift = log2Exact(p.pageBytes);
@@ -32,7 +32,7 @@ Tlb::access(Addr addr)
     Entry *base = &entries[static_cast<std::size_t>(set) * p.assoc];
 
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].vpn == vpn) {
+        if (base[w].vpn == vpn) {
             base[w].lruStamp = ++stampCounter;
             return true;
         }
@@ -41,14 +41,13 @@ Tlb::access(Addr addr)
     ++nMisses;
     Entry *victim = &base[0];
     for (int w = 0; w < p.assoc; ++w) {
-        if (!base[w].valid) {
+        if (base[w].vpn == invalidVpn) {
             victim = &base[w];
             break;
         }
         if (base[w].lruStamp < victim->lruStamp)
             victim = &base[w];
     }
-    victim->valid = true;
     victim->vpn = vpn;
     victim->lruStamp = ++stampCounter;
     return false;

@@ -44,12 +44,17 @@ class Tlb
     /** @} */
 
   private:
+    /** No address maps to this vpn: a vpn is an address shifted
+     *  right by log2(pageBytes) >= 1 bits (asserted). */
+    static constexpr Addr invalidVpn = ~Addr(0);
+
+    /** 16 bytes: "invalid" lives in the vpn, not in a flag. */
     struct Entry
     {
-        Addr vpn = 0;
+        Addr vpn = invalidVpn;
         std::uint64_t lruStamp = 0;
-        bool valid = false;
     };
+    static_assert(sizeof(Entry) == 16, "a TLB entry is 16 bytes");
 
     TlbParams p;
     int sets;

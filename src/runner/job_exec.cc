@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -212,6 +213,15 @@ writeAll(int fd, const char *buf, std::size_t len)
 }
 
 /**
+ * Held by a worker from its pipe() until its parent side has closed
+ * the pipe's write end. A child that another worker forks inside
+ * that window inherits the write end and keeps the pipe open for as
+ * long as it lives, so the attempt sees no EOF until that sibling
+ * exits: a hung sibling timed a healthy job out.
+ */
+std::mutex forkWindow;
+
+/**
  * One forked attempt. The child gets a FRESH BaselineCache: the
  * parent's cache mutex may be held by another worker thread at fork
  * time, so touching the inherited one could deadlock the child.
@@ -225,6 +235,7 @@ runIsolatedAttempt(const SweepSpec &spec, const SweepJob &job,
     const bool timeOverhead = spec.prof.enabled();
 
     ExecOutcome out;
+    std::unique_lock<std::mutex> forking(forkWindow);
     int fds[2];
     if (pipe(fds) != 0) {
         out.cause = "exception";
@@ -268,6 +279,7 @@ runIsolatedAttempt(const SweepSpec &spec, const SweepJob &job,
 
     // Parent: read until EOF or deadline.
     close(fds[1]);
+    forking.unlock();
     std::string payload;
     bool timedOut = false;
     bool interrupted = false;

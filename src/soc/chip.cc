@@ -1,6 +1,7 @@
 #include "soc/chip.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <utility>
 
@@ -187,6 +188,49 @@ ChipSimulator::buildChip(const PolicyMaker &policyMaker)
     nextEpochAt = cfg.soc.epochCycles;
 }
 
+namespace {
+
+/** The regions prewarm makes resident, as (layout base, bytes), in
+ *  the LLC's fill order: mid, near, code. */
+std::array<std::pair<Addr, Addr>, 3>
+prewarmRegions(const BenchProfile &prof)
+{
+    return {{{layout::midBase, prof.midBytes},
+             {layout::nearBase, prof.nearBytes},
+             {layout::codeBase, prof.codeFootprint}}};
+}
+
+/**
+ * Prewarm inserts lines with Cache::insert, which is exact only for
+ * lines never inserted before. Check once per call that the regions
+ * prewarm walks (one insertion per @p line bytes from each region's
+ * base) share no line.
+ */
+void
+assertDisjointRegions(const std::vector<const BenchProfile *> &profs,
+                      const std::vector<Addr> &addrBases, Addr line)
+{
+    std::vector<std::pair<Addr, Addr>> spans; // [first line, end)
+    for (std::size_t t = 0; t < profs.size(); ++t) {
+        for (const auto &[base, bytes] : prewarmRegions(*profs[t])) {
+            if (!bytes)
+                continue;
+            const Addr start = addrBases[t] + base;
+            const Addr lastLine =
+                (start + (bytes - 1) / line * line) & ~(line - 1);
+            spans.emplace_back(start & ~(line - 1), lastLine + line);
+        }
+    }
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+        SMT_ASSERT(spans[i - 1].second <= spans[i].first,
+                   "prewarm regions overlap at 0x%llx",
+                   static_cast<unsigned long long>(spans[i].first));
+    }
+}
+
+} // anonymous namespace
+
 void
 prewarmMemory(MemorySystem &mem,
               const std::vector<std::string> &benches,
@@ -201,30 +245,41 @@ prewarmMemory(MemorySystem &mem,
     SMT_ASSERT(benches.size() == addrBases.size(),
                "prewarm bases/benches mismatch");
     const int n = static_cast<int>(benches.size());
-    const int line = mem.params().l1d.lineSize;
-    const Addr page = mem.params().dtlb.pageBytes;
+    const MemParams &mp = mem.params();
+    const Addr line = static_cast<Addr>(mp.l1d.lineSize);
+    const Addr page = mp.dtlb.pageBytes;
+    std::vector<const BenchProfile *> profs;
+    for (const std::string &b : benches)
+        profs.push_back(&benchProfile(b));
+
+    // Cache::insert places each line where fill() would, in O(1),
+    // as long as the caches start empty and no line comes twice.
+    SMT_ASSERT(mem.l1i().empty() && mem.l1d().empty() &&
+                   mem.l2().empty(),
+               "prewarm of a hierarchy that already holds lines");
+    SMT_ASSERT(mp.l1i.lineSize == mp.l1d.lineSize &&
+                   mp.l2.lineSize == mp.l1d.lineSize,
+               "prewarm needs one line size across L1I, L1D and L2");
+    assertDisjointRegions(profs, addrBases, line);
 
     // Fill order matters when the combined footprints exceed the L2:
     // least-critical first (mid), code last, and code interleaved
     // across threads so no thread's working set is wiped wholesale.
     for (int t = 0; t < n; ++t) {
         const Addr base = addrBases[t];
-        const BenchProfile &prof = benchProfile(benches[t]);
-        for (Addr off = 0; off < prof.midBytes;
-             off += static_cast<Addr>(line)) {
-            mem.l2().fill(base + layout::midBase + off);
-        }
+        const BenchProfile &prof = *profs[t];
+        for (Addr off = 0; off < prof.midBytes; off += line)
+            mem.l2().insert(base + layout::midBase + off);
         for (Addr off = 0; off < prof.midBytes; off += page)
             mem.dtlb(t).access(base + layout::midBase + off);
     }
     for (int t = 0; t < n; ++t) {
         const Addr base = addrBases[t];
-        const BenchProfile &prof = benchProfile(benches[t]);
-        for (Addr off = 0; off < prof.nearBytes;
-             off += static_cast<Addr>(line)) {
+        const BenchProfile &prof = *profs[t];
+        for (Addr off = 0; off < prof.nearBytes; off += line) {
             const Addr a = base + layout::nearBase + off;
-            mem.l1d().fill(a);
-            mem.l2().fill(a);
+            mem.l1d().insert(a);
+            mem.l2().insert(a);
         }
         for (Addr off = 0; off < prof.nearBytes; off += page)
             mem.dtlb(t).access(base + layout::nearBase + off);
@@ -232,18 +287,15 @@ prewarmMemory(MemorySystem &mem,
             mem.itlb(t).access(base + layout::codeBase + off);
     }
     Addr maxCode = 0;
-    for (int t = 0; t < n; ++t)
-        maxCode = std::max(maxCode,
-                           benchProfile(benches[t]).codeFootprint);
-    for (Addr off = 0; off < maxCode;
-         off += static_cast<Addr>(line)) {
+    for (const BenchProfile *prof : profs)
+        maxCode = std::max(maxCode, prof->codeFootprint);
+    for (Addr off = 0; off < maxCode; off += line) {
         for (int t = 0; t < n; ++t) {
-            const BenchProfile &prof = benchProfile(benches[t]);
-            if (off >= prof.codeFootprint)
+            if (off >= profs[t]->codeFootprint)
                 continue;
             const Addr a = addrBases[t] + layout::codeBase + off;
-            mem.l1i().fill(a);
-            mem.l2().fill(a);
+            mem.l1i().insert(a);
+            mem.l2().insert(a);
         }
     }
     mem.resetStats();
@@ -268,22 +320,25 @@ ChipSimulator::prewarmChip()
     }
 
     // The shared LLC starts holding every thread's near/mid/code
-    // regions (the same regions the private L2s hold).
+    // regions (the same regions the private L2s hold), inserted as
+    // prewarmMemory inserts them: the LLC is fresh and the regions
+    // are disjoint.
     if (llc) {
-        const int line = cfg.mem.l1d.lineSize;
+        const Addr line = static_cast<Addr>(cfg.mem.l1d.lineSize);
+        SMT_ASSERT(llc->params().tags.lineSize == cfg.mem.l1d.lineSize,
+                   "LLC prewarm needs the L1D's line size");
+        std::vector<const BenchProfile *> profs;
+        std::vector<Addr> bases;
         for (int s = 0; s < nThreads; ++s) {
-            const Addr base =
-                static_cast<Addr>(s) * threadAddrStride;
-            const BenchProfile &prof = benchProfile(benchNames[s]);
-            for (Addr off = 0; off < prof.midBytes;
-                 off += static_cast<Addr>(line))
-                llc->fill(base + layout::midBase + off);
-            for (Addr off = 0; off < prof.nearBytes;
-                 off += static_cast<Addr>(line))
-                llc->fill(base + layout::nearBase + off);
-            for (Addr off = 0; off < prof.codeFootprint;
-                 off += static_cast<Addr>(line))
-                llc->fill(base + layout::codeBase + off);
+            profs.push_back(&gens[s]->profile());
+            bases.push_back(static_cast<Addr>(s) * threadAddrStride);
+        }
+        assertDisjointRegions(profs, bases, line);
+        for (int s = 0; s < nThreads; ++s) {
+            for (const auto &[base, bytes] : prewarmRegions(*profs[s])) {
+                for (Addr off = 0; off < bytes; off += line)
+                    llc->insert(bases[s] + base + off);
+            }
         }
         llc->resetStats();
     }

@@ -87,7 +87,10 @@ class SyntheticTraceGenerator : public TraceSource
     const BenchProfile &profile() const { return prof; }
 
   private:
-    static constexpr std::uint64_t ringCap = 8192;
+    /** Replay window. A squash rewinds at most a full ROB plus a
+     *  full fetch queue plus one peeked instruction (545 at the
+     *  defaults), and Pipeline refuses a core deeper than this. */
+    static constexpr std::uint64_t ringCap = 2048;
     static constexpr int recentRegs = 32;
 
     /** Why a branch is being generated. */

@@ -14,10 +14,14 @@
 #include "core/smt_config.hh"
 #include "sim/simulator.hh"
 #include "soc/chip.hh"
+#include "support/dies_with_abort.hh"
+#include "trace/bench_profile.hh"
+#include "trace/generator.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::diesWithAbort;
 
 TEST(SmtConfig, RenameRegArithmeticMatchesPaper)
 {
@@ -184,6 +188,27 @@ TEST(InstPool, AllocFreeReuse)
     EXPECT_EQ(pool[c].pdst, invalidPhysReg);
 }
 
+TEST(InstPool, RecordsAreBuiltOnFirstAllocationInHandleOrder)
+{
+    InstPool pool(3);
+    EXPECT_EQ(pool.alloc(), 0u);
+    EXPECT_EQ(pool.alloc(), 1u);
+    pool.free(0);
+    EXPECT_EQ(pool.alloc(), 0u); // a freed record before a new one
+    const InstHandle h = pool.alloc();
+    EXPECT_EQ(h, 2u);
+    // A record built fresh reads as a default DynInst, payload too.
+    const DynInst blank{};
+    EXPECT_EQ(pool[h].seq, blank.seq);
+    EXPECT_EQ(pool[h].traceIdx, blank.traceIdx);
+    EXPECT_EQ(pool[h].waitPrev[1], invalidWaitLink);
+    EXPECT_EQ(pool[h].ti.pc, blank.ti.pc);
+    EXPECT_EQ(pool[h].ti.dst, blank.ti.dst);
+    EXPECT_EQ(pool.live(), 3u);
+    EXPECT_EQ(pool.capacity(), 3u);
+    EXPECT_TRUE(diesWithAbort([&pool] { (void)pool.alloc(); }));
+}
+
 // ---------------- pipeline-level behaviour ----------------
 
 SimConfig
@@ -192,6 +217,31 @@ smallConfig()
     SimConfig cfg;
     cfg.seed = 99;
     return cfg;
+}
+
+TEST(Pipeline, RefusesARobDeeperThanTheReplayWindow)
+{
+    // A squash may rewind a full ROB plus a full fetch queue plus
+    // one peeked instruction. A 4096-entry ROB outgrows the default
+    // generator's window, so the core is refused when it is built,
+    // not on its first deep flush.
+    EXPECT_TRUE(diesWithAbort([] {
+        SimConfig cfg = smallConfig();
+        cfg.core.robSize = 4096;
+        ChipSimulator sim(cfg, {"gzip"}, PolicyKind::Flush);
+    }));
+    // The bound is exact: the deepest ROB the window covers builds,
+    // one entry more does not.
+    SimConfig cfg = smallConfig();
+    const SyntheticTraceGenerator gen(benchProfile("gzip"), cfg.seed);
+    cfg.core.robSize = static_cast<int>(gen.replayWindow()) -
+        cfg.core.fetchQueueSize - 1;
+    ChipSimulator deepest(cfg, {"gzip"}, PolicyKind::Flush);
+    EXPECT_TRUE(diesWithAbort([&cfg] {
+        SimConfig deeper = cfg;
+        ++deeper.core.robSize;
+        ChipSimulator sim(deeper, {"gzip"}, PolicyKind::Flush);
+    }));
 }
 
 TEST(Pipeline, SingleThreadMakesForwardProgress)

@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "mem/mshr.hh"
 #include "mem/tlb.hh"
+#include "support/dies_with_abort.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::diesWithAbort;
 
 CacheParams
 tinyCache()
@@ -71,12 +75,67 @@ TEST(Cache, ProbeDoesNotTouchLru)
     EXPECT_FALSE(c.probe(0x0000));
 }
 
-TEST(Cache, InvalidateRemovesLine)
+TEST(Cache, InsertPlacesLinesExactlyAsFill)
 {
+    // Prewarm inserts each line in O(1). Over distinct lines into a
+    // fresh cache it must leave exactly the tags and LRU order that
+    // per-line fill() leaves, also in sets that overflow.
+    Cache inserted(tinyCache()); // 8 sets, 2 ways
+    Cache filled(tinyCache());
+    const Addr setStride = 8 * 64;
+    std::vector<Addr> lines;
+    for (Addr a = 0; a < 20 * 64; a += 64)
+        lines.push_back(0x10000 + a); // sets 0..3 get 3 lines each
+    for (Addr k = 0; k < 5; ++k)
+        lines.push_back(0x40100 + k * setStride); // 5 lines, set 4
+    for (Addr a : lines) {
+        inserted.insert(a);
+        filled.fill(a);
+    }
+    int resident = 0;
+    for (Addr a : lines) {
+        EXPECT_EQ(inserted.probe(a), filled.probe(a)) << std::hex << a;
+        resident += filled.probe(a) ? 1 : 0;
+    }
+    EXPECT_EQ(resident, 16); // every set overflowed or just full
+    // The same follow-up sequence picks the same victim slots: new
+    // lines into overflowed sets, a refresh of a resident line and a
+    // way-masked fill.
+    const Addr followUp[] = {0x10000 + 24 * 64, 0x40100 + 5 * setStride,
+                             0x10000 + 16 * 64, 0x20000,
+                             0x10000 + 25 * 64};
+    for (Addr a : followUp) {
+        EXPECT_EQ(inserted.fillWays(a, Cache::allWays),
+                  filled.fillWays(a, Cache::allWays))
+            << std::hex << a;
+    }
+    EXPECT_EQ(inserted.fillWays(0x50000, 0x1u),
+              filled.fillWays(0x50000, 0x1u));
+}
+
+TEST(Cache, InsertIntoAnAccessedCacheAborts)
+{
+    // A hit moves the LRU order away from insertion order, and a
+    // fill() may refresh instead of allocate: either makes insert()
+    // inexact, so it must refuse.
+    EXPECT_TRUE(diesWithAbort([] {
+        Cache c(tinyCache());
+        c.insert(0x1000);
+        (void)c.access(0x1000);
+        c.insert(0x2000);
+    }));
+    EXPECT_TRUE(diesWithAbort([] {
+        Cache c(tinyCache());
+        c.fill(0x1000);
+        c.insert(0x2000);
+    }));
+    // A miss changes no line, so insertion stays exact after it.
     Cache c(tinyCache());
-    c.fill(0x2000);
-    c.invalidate(0x2000);
-    EXPECT_FALSE(c.probe(0x2000));
+    EXPECT_TRUE(c.empty());
+    EXPECT_FALSE(c.access(0x1000));
+    c.insert(0x1000);
+    EXPECT_FALSE(c.empty());
+    EXPECT_TRUE(c.probe(0x1000));
 }
 
 TEST(Cache, FillIsIdempotentOnResidentLine)

@@ -6,42 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdio>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "sim/metrics.hh"
+#include "support/dies_with_abort.hh"
 
 namespace {
 
 using namespace smt;
 
-/**
- * Run @p fn in a forked child (stderr silenced) and report whether
- * it died with SIGABRT — the gtest shim has no death-test support,
- * so panics are observed through the child's exit status.
- */
-template <typename Fn>
-bool
-diesWithAbort(Fn fn)
-{
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid == 0) {
-        // smtlint:allow(D4): redirecting the forked child's stderr, not writing to it
-        if (!std::freopen("/dev/null", "w", stderr))
-            _exit(97);
-        fn();
-        _exit(0); // survived: the assertion did not fire
-    }
-    if (pid < 0)
-        return false;
-    int status = 0;
-    if (waitpid(pid, &status, 0) != pid)
-        return false;
-    return WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT;
-}
+using smt::test::diesWithAbort;
 
 TEST(HmeanSpeedup, EmptyVectorsGiveZero)
 {

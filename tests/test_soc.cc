@@ -19,9 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,13 +26,16 @@
 #include <string>
 #include <vector>
 
+#include "mem/memory_system.hh"
 #include "mem/shared_cache.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
 #include "soc/allocator.hh"
 #include "soc/chip.hh"
+#include "support/dies_with_abort.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/generator.hh"
 
 namespace {
 
@@ -158,8 +158,8 @@ TEST(SharedCache, BusSerializesSameCycleRequests)
     p.memLatency = 300;
     SharedCache llc(p, 2);
     const Addr a = 0x1000, b = 0x8000;
-    llc.fill(a);
-    llc.fill(b);
+    llc.insert(a);
+    llc.insert(b);
 
     const LlcResult r0 = llc.access(0, a, 100);
     EXPECT_TRUE(r0.hit);
@@ -316,31 +316,7 @@ class ZeroShareArbiter : public ResourceArbiter
     int kind;
 };
 
-/**
- * Run @p fn in a forked child (stderr silenced) and report whether
- * it died with SIGABRT — the gtest shim has no death-test support,
- * so panics are observed through the child's exit status.
- */
-template <typename Fn>
-bool
-diesWithAbort(Fn fn)
-{
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid == 0) {
-        // smtlint:allow(D4): redirecting the forked child's stderr, not writing to it
-        if (!std::freopen("/dev/null", "w", stderr))
-            _exit(97);
-        fn();
-        _exit(0); // survived: the assertion did not fire
-    }
-    if (pid < 0)
-        return false;
-    int status = 0;
-    if (waitpid(pid, &status, 0) != pid)
-        return false;
-    return WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT;
-}
+using smt::test::diesWithAbort;
 
 TEST(SharedCache, NonPositiveArbiterSharesAreFatal)
 {
@@ -361,6 +337,26 @@ TEST(SharedCache, NonPositiveArbiterSharesAreFatal)
     SharedCache llc(SharedCacheParams{}, 2);
     (void)llc.access(0, 0x1000, 10);
     llc.auditInvariants();
+}
+
+TEST(Prewarm, RefusesRegionsThatShareALineAndAWarmHierarchy)
+{
+    // Prewarm's O(1) insertion is exact only for distinct lines into
+    // empty caches: two threads on one address base overlap, and a
+    // second prewarm would insert every line again.
+    const SimConfig cfg;
+    EXPECT_TRUE(diesWithAbort([&cfg] {
+        MemorySystem mem(cfg.mem, 2);
+        prewarmMemory(mem, {"gzip", "mcf"}, {0, 0});
+    }));
+    EXPECT_TRUE(diesWithAbort([&cfg] {
+        MemorySystem mem(cfg.mem, 2);
+        prewarmMemory(mem, {"gzip", "mcf"}, {0, threadAddrStride});
+        prewarmMemory(mem, {"gzip", "mcf"}, {0, threadAddrStride});
+    }));
+    MemorySystem mem(cfg.mem, 2);
+    prewarmMemory(mem, {"gzip", "mcf"}, {0, threadAddrStride});
+    EXPECT_TRUE(mem.l2().probe(threadAddrStride + layout::codeBase));
 }
 
 /** Test arbiter capping bus slots to one per accounting window. */
@@ -390,9 +386,9 @@ TEST(SharedCache, BusWindowNeverRollsBackward)
     p.busWindow = 64;
     SharedCache llc(p, 2,
                     std::make_unique<OneBusSlotArbiter>());
-    llc.fill(0x1000);
-    llc.fill(0x2000);
-    llc.fill(0x3000);
+    llc.insert(0x1000);
+    llc.insert(0x2000);
+    llc.insert(0x3000);
 
     // Window 0's single slot.
     const LlcResult r0 = llc.access(0, 0x1000, 10);

@@ -701,7 +701,8 @@ const Flag kFlags[] = {
      "first-thread commit budget (default 100000; sweep 60000)",
      [](Cli &c, const Flag &f, Text v) {
          return number(f, v, c.spec.commits);
-     }},
+     },
+     1},
     {"--warmup", "N", BothModes,
      "warmup commits before measuring (default 10000)",
      [](Cli &c, const Flag &f, Text v) {
