@@ -11,19 +11,19 @@
  * results as `prefix.2core.json` / `prefix.4core.json` (schema
  * smtsim-sweep-v1).
  *
- * Shape targets (what the model actually shows): with DCRA running
- * inside each core, intra-core resource control absorbs most of a
- * bad pairing, so at these short (SimPoint-scale) horizons the
- * static spread is hard to beat — every migration pays a squash
- * plus a cold private hierarchy. The reactive allocators stay
- * within a few percent on ILP/MIX (migrating rarely, thanks to
- * quantized rankings, placement canonicalization and the two-epoch
- * debounce) and only close the gap on long horizons where the
- * migration cost amortizes; on MEM cells, where the threads are
- * interchangeable, any migration is pure cost and round-robin wins
- * outright. That allocation matters *less* under DCRA than under
- * ICOUNT-class fetch policies is exactly the paper's thesis carried
- * up one level.
+ * Shape targets (what the binary prints at its default budget, 60k
+ * commits after 10k of warmup): static round-robin placement wins.
+ * It beats both reactive allocators on throughput and on Hmean in
+ * 11 of the 12 (allocator x cell x chip) rows, and ties the 12th:
+ * symbiosis on the 4-core ILP cell, which never migrates. On ILP
+ * and MIX cells the reactive allocators lose 3-17% of throughput
+ * (2-core MIX: round-robin 5.063, symbiosis 4.268, synpa 4.219); on
+ * MEM cells, where they migrate most (15.5-19.5 moves per 2-core
+ * job), they lose 13-22%. Every migration pays a squash plus a cold
+ * private hierarchy, and with DCRA inside each core a bad pairing
+ * costs less than the move that would fix it. A longer horizon does
+ * not amortize the moves: at 4x the budget round-robin still wins
+ * all 12 rows (ROADMAP.md).
  */
 
 #include <cstdio>

@@ -13,14 +13,16 @@
  * results as `prefix.2core.json` / `prefix.4core.json` (schema
  * smtsim-sweep-v1, including the per-core soc arbitration block).
  *
- * Shape targets: arbitration only matters where LLC pressure is
- * asymmetric. On MEM cells every core hammers the LLC equally, so
- * all four arbiters converge; on MIX cells the memory-bound cores
- * monopolise MSHRs/ways under "static", and chip-dcra / way-util
- * shift shares toward the demanding cores (visible as share
- * reassignments and skewed per-core occupancy) — the same
- * fast/slow asymmetry story the paper tells inside one core,
- * carried up one level in the hierarchy.
+ * Shape targets (what the binary prints at its default budget, 60k
+ * commits after 10k of warmup): no arbiter beats "static" by more
+ * than 0.2% in any row. On ILP cells the LLC barely misses (2.6-2.8%)
+ * and every arbiter prints static's numbers. On MIX cells all four
+ * stay within 0.2% of static, although chip-dcra and way-util
+ * reassign shares 11-22 times per job. On MEM cells they do not
+ * converge: chip-dcra loses 7% of throughput and of Hmean on the
+ * 4-core chip (4.059 / 0.694 against 4.360 / 0.749, after 74 share
+ * reassignments per job), and the way-partitioners lose 0.6-0.8% on
+ * both chips.
  */
 
 #include <cstdio>

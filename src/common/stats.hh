@@ -64,18 +64,18 @@ class Histogram
     /** @param nbuckets number of buckets, one per integer value. */
     explicit Histogram(std::size_t nbuckets);
 
-    /** Record one integer sample. Inline: sampled every cycle by
-     *  the run loop's MLP metric. */
+    /** Record @p n samples of one integer value. Inline: sampled
+     *  every cycle by the run loop's MLP metric. */
     void
-    sample(std::uint64_t v)
+    sample(std::uint64_t v, std::uint64_t n = 1)
     {
         std::size_t idx = static_cast<std::size_t>(v);
         if (v >= counts.size()) {
             idx = counts.size() - 1;
-            ++overflowCnt;
+            overflowCnt += n;
         }
-        ++counts[idx];
-        ++total;
+        counts[idx] += n;
+        total += n;
     }
 
     /** Count in one bucket. */

@@ -282,6 +282,13 @@ Pipeline::auditInvariants() const
                    "idle context holds rename registers");
     }
 
+    // The busy bitmap nextCompletion() scans mirrors the wheel.
+    for (std::size_t slot = 0; slot < wheelSize; ++slot) {
+        SMT_ASSERT(((wheelBusy[slot / 64] >> (slot % 64)) & 1u) ==
+                       (wheel[slot].empty() ? 0u : 1u),
+                   "wheel busy bit %zu out of sync", slot);
+    }
+
     // Register free-list accounting: free + architectural + renamed
     // in flight == file size for each class.
     const int archTotal = cfg.numThreads * numIntArchRegs;
@@ -309,23 +316,107 @@ Pipeline::tick()
     // One stage sequence, profiled or not: on the sampled tick each
     // stage's ProfScope times it, on every other tick the scopes get
     // a null profiler and do nothing.
-    HostProfiler *timer = nullptr;
-    if (hprof && ++hprofTick >= hprofEvery) {
-        hprofTick = 0;
-        timer = hprof;
-    }
+    HostProfiler *timer =
+        hprof && cycle % hprofEvery == 0 ? hprof : nullptr;
+    bool live = false;
     const auto stage = [&](int s, auto &&run) {
         ProfScope hps(timer, hsStage[s]);
-        run();
+        live |= run();
     };
-    stage(HsMem, [this] { mem.tick(cycle); });
-    stage(HsPolicy, [this] { policy.beginCycle(cycle); });
-    stage(HsCommit, [this] { commitStage(); });
-    stage(HsWriteback, [this] { writebackStage(); });
-    stage(HsIssue, [this] { issueStage(); });
-    stage(HsFlush, [this] { processFlushRequests(); });
-    stage(HsRename, [this] { renameStage(); });
-    stage(HsFetch, [this] { fetchStage(); });
+    stage(HsMem, [this] { return mem.tick(cycle); });
+    stage(HsPolicy, [this] {
+        policy.beginCycle(cycle);
+        return false; // its gates are bounded by quietThrough()
+    });
+    stage(HsCommit, [this] { return commitStage(); });
+    stage(HsWriteback, [this] { return writebackStage(); });
+    stage(HsIssue, [this] { return issueStage(); });
+    stage(HsFlush, [this] { return processFlushRequests(); });
+    stage(HsRename, [this] { return renameStage(); });
+    stage(HsFetch, [this] { return fetchStage(); });
+    lastTickDead = !live;
+}
+
+Cycle
+Pipeline::nextCompletion() const
+{
+    // Buckets hold the cycles (cycle, cycle + wheelSize): scan the
+    // busy bits cyclically from the next cycle's bucket. The start
+    // word is visited twice, the second time in full, which only
+    // adds its far-future bits below the start.
+    const std::size_t start = (cycle + 1) % wheelSize;
+    std::size_t w = start / 64;
+    std::uint64_t bits = wheelBusy[w] & (~0ull << (start % 64));
+    for (std::size_t k = 0; k <= wheelWords; ++k) {
+        if (bits) {
+            const std::size_t slot = w * 64 +
+                static_cast<std::size_t>(__builtin_ctzll(bits));
+            return cycle + 1 + (slot + wheelSize - start) % wheelSize;
+        }
+        w = (w + 1) % wheelWords;
+        bits = wheelBusy[w];
+    }
+    return neverCycle;
+}
+
+Pipeline::Wakes
+Pipeline::wakes() const
+{
+    // A dead tick retired no MSHR entry and emptied its own wheel
+    // bucket, so both wakes lie ahead of the current cycle.
+    const auto before = [](Cycle c) {
+        return c == neverCycle ? neverCycle : c - 1;
+    };
+    Wakes w;
+    w.mshrFill = before(mem.nextFill());
+    w.completion = before(nextCompletion());
+    for (const ThreadState &ts : threads) {
+        if (ts.trace && !ts.draining && ts.fetchResumeCycle > cycle) {
+            w.fetchResume =
+                std::min(w.fetchResume, ts.fetchResumeCycle - 1);
+        }
+        if (!ts.fetchQ.empty()) {
+            const Cycle renameAt = pool[ts.fetchQ.front()].fetchCycle +
+                static_cast<Cycle>(cfg.frontEndLatency);
+            if (renameAt > cycle)
+                w.frontEnd = std::min(w.frontEnd, renameAt - 1);
+        }
+    }
+    w.policy = policy.quietThrough(cycle);
+    return w;
+}
+
+Cycle
+Pipeline::idleThrough(Cycle cap) const
+{
+    if (!lastTickDead || cap <= cycle)
+        return cycle;
+    const Wakes w = wakes();
+    const Cycle last =
+        std::min({cap, w.mshrFill, w.completion, w.fetchResume,
+                  w.frontEnd, w.policy});
+    return std::max(last, cycle);
+}
+
+void
+Pipeline::skipTo(Cycle to)
+{
+    SMT_ASSERT(to >= cycle && idleThrough(to) == to,
+               "skip from cycle %llu to %llu passes a wake",
+               static_cast<unsigned long long>(cycle),
+               static_cast<unsigned long long>(to));
+    if (to == cycle)
+        return;
+    const Cycle n = to - cycle;
+    skippedTotal += n;
+    policy.skipCycles(cycle, to);
+    rrThread = static_cast<int>(
+        (static_cast<Cycle>(rrThread) + n) %
+        static_cast<Cycle>(cfg.numThreads));
+    rrQueue = static_cast<int>((static_cast<Cycle>(rrQueue) + n) %
+                               static_cast<Cycle>(numQueueClasses));
+    cycle = to;
+    pstats.cycles = cycle - statsStartCycle;
 }
 
 void
@@ -333,7 +424,6 @@ Pipeline::setHostProfiler(HostProfiler *prof,
                           const std::string &prefix)
 {
     hprof = prof;
-    hprofTick = 0;
     if (!prof) {
         hprofEvery = 0;
         return;
@@ -351,7 +441,7 @@ Pipeline::setHostProfiler(HostProfiler *prof,
 // commit
 // ---------------------------------------------------------------
 
-void
+bool
 Pipeline::commitStage()
 {
     int width = cfg.commitWidth;
@@ -399,16 +489,20 @@ Pipeline::commitStage()
             --width;
         }
     }
+    return width != cfg.commitWidth;
 }
 
 // ---------------------------------------------------------------
 // writeback
 // ---------------------------------------------------------------
 
-void
+bool
 Pipeline::writebackStage()
 {
-    auto &bucket = wheel[cycle % wheelSize];
+    const std::size_t slot = cycle % wheelSize;
+    auto &bucket = wheel[slot];
+    if (bucket.empty())
+        return false;
     for (const InstHandle h : bucket) {
         DynInst &d = pool[h];
         if (d.squashed) {
@@ -450,6 +544,8 @@ Pipeline::writebackStage()
         }
     }
     bucket.clear();
+    wheelBusy[slot / 64] &= ~(1ull << (slot % 64));
+    return true;
 }
 
 // ---------------------------------------------------------------
@@ -498,10 +594,12 @@ Pipeline::pushWheel(InstHandle h, Cycle finish)
     SMT_ASSERT(finish - cycle < wheelSize,
                "latency %llu exceeds completion wheel",
                static_cast<unsigned long long>(finish - cycle));
-    wheel[finish % wheelSize].push_back(h);
+    const std::size_t slot = finish % wheelSize;
+    wheel[slot].push_back(h);
+    wheelBusy[slot / 64] |= 1ull << (slot % 64);
 }
 
-void
+bool
 Pipeline::issueStage()
 {
     // Event-driven issue: walk only the ready list of each queue —
@@ -513,6 +611,7 @@ Pipeline::issueStage()
     // place, preserving age order for the next cycle.
     fuPool.reset();
     int budget = cfg.issueWidth;
+    bool any = false;
 
     for (int qo = 0; qo < numQueueClasses && budget > 0; ++qo) {
         int q = rrQueue + qo;
@@ -525,6 +624,7 @@ Pipeline::issueStage()
 
         replayScratch.clear();
         std::size_t r = rlist.head;
+        any = any || r < n;
         while (r < n && budget > 0) {
             const InstHandle h = rl[r].h;
             DynInst &d = pool[h];
@@ -601,6 +701,7 @@ Pipeline::issueStage()
             rlist.head = 0;
         }
     }
+    return any;
 }
 
 int
@@ -798,12 +899,14 @@ Pipeline::squashAfter(ThreadID t, InstSeqNum seq)
     return info;
 }
 
-void
+bool
 Pipeline::processFlushRequests()
 {
     ThreadID t = invalidThread;
     InstSeqNum seq = 0;
+    bool any = false;
     while (policy.takeFlushRequest(t, seq)) {
+        any = true;
         SMT_ASSERT(t >= 0 && t < cfg.numThreads, "bad flush tid");
         ThreadState &ts = threads[t];
         const SquashInfo info = squashAfter(t, seq);
@@ -819,6 +922,7 @@ Pipeline::processFlushRequests()
         }
         ts.fetchResumeCycle = cycle + 1;
     }
+    return any;
 }
 
 // ---------------------------------------------------------------
@@ -832,7 +936,7 @@ Pipeline::capBlocked(ThreadID t, ResourceType r) const
     return cap >= 0 && rtracker.occupancy(r, t) >= cap;
 }
 
-void
+bool
 Pipeline::renameStage()
 {
     int budget = cfg.renameWidth;
@@ -920,13 +1024,14 @@ Pipeline::renameStage()
             --budget;
         }
     }
+    return budget != cfg.renameWidth;
 }
 
 // ---------------------------------------------------------------
 // fetch
 // ---------------------------------------------------------------
 
-void
+bool
 Pipeline::fetchStage()
 {
     // Reusable candidate buffer, ordered by insertion sort as the
@@ -967,6 +1072,9 @@ Pipeline::fetchStage()
                       static_cast<int>(fetchCands.size()));
     for (int i = 0; i < nThreads && budget > 0; ++i)
         fetchFrom(fetchCands[i].t, budget);
+    // A candidate always probes the I-side (and may synthesize a
+    // wrong-path instruction), which changes state.
+    return !fetchCands.empty();
 }
 
 void
@@ -978,42 +1086,46 @@ Pipeline::fetchFrom(ThreadID t, int &budget)
     while (budget > 0 &&
            static_cast<int>(ts.fetchQ.size()) < cfg.fetchQueueSize) {
         const bool fromTrace = !ts.wrongPathMode;
-        // Correct-path instructions are copied straight from the
-        // trace ring into the pool record after the I-side accepts
-        // the line (one copy, none on the break paths); wrong-path
-        // synthesis must still happen up front because the salt is
-        // consumed even when the line probe makes us retry.
-        TraceInst wpTi;
+        // The pool record is taken before the I-side probe and handed
+        // back if the probe refuses the fetch (LIFO reuse, so the
+        // pool ends as if it had never been taken). A wrong-path
+        // instruction is synthesized straight into it up front,
+        // because the salt is consumed even when the probe makes us
+        // retry; a correct-path one is copied from the trace ring
+        // only once the I-side accepts the line.
+        const InstHandle h = pool.alloc();
+        DynInst &d = pool[h];
         const TraceInst *src = nullptr;
         Addr pc;
         if (fromTrace) {
             src = &ts.trace->peek();
             pc = src->pc + ts.addrBase;
         } else {
-            wpTi = ts.wpSynth.inst(ts.fetchPc - ts.addrBase,
-                                   ts.wpSalt++);
-            wpTi.pc = ts.fetchPc;
-            if (isMem(wpTi.op))
-                wpTi.effAddr += ts.addrBase;
-            if (isBranch(wpTi.op))
-                wpTi.target += ts.addrBase;
+            ts.wpSynth.inst(ts.fetchPc - ts.addrBase, ts.wpSalt++,
+                            d.ti);
+            d.ti.pc = ts.fetchPc;
+            if (isMem(d.ti.op))
+                d.ti.effAddr += ts.addrBase;
+            if (isBranch(d.ti.op))
+                d.ti.target += ts.addrBase;
             pc = ts.fetchPc;
         }
 
         const Addr line = mem.l1i().lineAddr(pc);
         if (line != curLine) {
             const FetchAccessResult fr = mem.instFetch(t, pc, cycle);
-            if (!fr.accepted)
+            if (!fr.accepted) {
+                pool.free(h);
                 break; // I-MSHRs full, retry next cycle
+            }
             if (!fr.hit) {
                 ts.fetchResumeCycle = std::max(fr.ready, cycle + 1);
+                pool.free(h);
                 break;
             }
             curLine = line;
         }
 
-        const InstHandle h = pool.alloc();
-        DynInst &d = pool[h];
         std::uint64_t traceIdx = ~0ull;
         if (fromTrace) {
             d.ti = *src; // the ref from the peek above is still live
@@ -1023,8 +1135,6 @@ Pipeline::fetchFrom(ThreadID t, int &budget)
                 d.ti.effAddr += ts.addrBase;
             if (isBranch(d.ti.op))
                 d.ti.target += ts.addrBase;
-        } else {
-            d.ti = wpTi;
         }
         const TraceInst &ti = d.ti;
         d.seq = ++seqCounter;
@@ -1088,6 +1198,7 @@ Pipeline::beginDrain(ThreadID t)
     SMT_ASSERT(t >= 0 && t < cfg.numThreads, "bad drain tid %d", t);
     SMT_ASSERT(contextActive(t), "draining an idle context");
     threads[t].draining = true;
+    lastTickDead = false;
 }
 
 void
@@ -1118,6 +1229,7 @@ Pipeline::detachThread(ThreadID t)
     ts.fetchResumeCycle = 0;
     ts.fetchPc = 0;
     ts.addrBase = 0;
+    lastTickDead = false;
 }
 
 void
@@ -1163,6 +1275,7 @@ Pipeline::attachThread(ThreadID t, const ThreadProgram &prog)
     // Resume next cycle so an attach between two ticks never lets
     // the thread fetch "twice" in its handoff cycle.
     ts.fetchResumeCycle = cycle + 1;
+    lastTickDead = false;
 }
 
 } // namespace smt

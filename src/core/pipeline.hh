@@ -110,6 +110,33 @@ class Pipeline
     void tick();
 
     /**
+     * @name Skipping dead cycles
+     * A dead tick fetches, renames, issues, writes back, commits and
+     * squashes nothing, and no MSHR entry fills. It leaves every
+     * structure the stages read as it found it, so the ticks after
+     * it are dead too, until the first cycle on which time alone can
+     * change an answer: an MSHR fill, a completion-wheel bucket, a
+     * context's fetchResumeCycle, a fetch-queue head clearing the
+     * front-end latency, or the policy's quietThrough() bound.
+     */
+    /** @{ */
+    /**
+     * Last cycle, at most @p cap, through which the coming ticks are
+     * provably dead: now() unless the last tick was dead, else the
+     * cycle before the first wake.
+     */
+    Cycle idleThrough(Cycle cap) const;
+
+    /**
+     * Advance to cycle @p to in one step, exactly as (to - now())
+     * dead ticks would: rotate the round-robin pointers, count the
+     * cycles and charge the policy (Policy::skipCycles). Asserts
+     * that idleThrough(to) reaches @p to.
+     */
+    void skipTo(Cycle to);
+    /** @} */
+
+    /**
      * Zero the run statistics (warmup support). The machine state
      * (caches, predictors, in-flight instructions) is untouched;
      * stats().cycles counts from this point on. Commit milestones
@@ -142,8 +169,9 @@ class Pipeline
     /**
      * Attach the host wall-clock profiler (--prof). Registers the
      * per-stage scopes under @p prefix ("" single-core, "c0." per
-     * chip core); tick() then times its stages on 1 in
-     * prof->sampleEvery() ticks. Null detaches. Must be called
+     * chip core); tick() then times its stages on the cycles
+     * divisible by prof->sampleEvery() (a skipped cycle is not a
+     * tick, so it is not timed). Null detaches. Must be called
      * before the run starts (scope registration is
      * single-threaded); with no profiler attached tick() pays one
      * pointer test and nothing else.
@@ -214,6 +242,22 @@ class Pipeline
 
     /** Instructions on one queue's ready list (wakeup tests). */
     int readyCount(QueueClass qc) const;
+
+    /** The last cycle before each wake idleThrough() takes the
+     *  minimum of, as the state stands (neverCycle: none pending).
+     *  Meaningful after a dead tick. */
+    struct Wakes
+    {
+        Cycle mshrFill = neverCycle;    //!< an MSHR entry fills
+        Cycle completion = neverCycle;  //!< a wheel bucket writes back
+        Cycle fetchResume = neverCycle; //!< a context may fetch again
+        Cycle frontEnd = neverCycle;    //!< a fetch-queue head may rename
+        Cycle policy = neverCycle;      //!< Policy::quietThrough()
+    };
+    Wakes wakes() const;
+
+    /** Cycles skipTo() advanced over since construction. */
+    std::uint64_t cyclesSkipped() const { return skippedTotal; }
     /** @} */
 
   private:
@@ -267,13 +311,19 @@ class Pipeline
         ThreadID t;
     };
 
-    void commitStage();
-    void writebackStage();
-    void issueStage();
-    void processFlushRequests();
-    void renameStage();
-    void fetchStage();
+    /** The stages; each returns whether it did anything (the tick
+     *  is dead when none did). */
+    bool commitStage();
+    bool writebackStage();
+    bool issueStage();
+    bool processFlushRequests();
+    bool renameStage();
+    bool fetchStage();
     void fetchFrom(ThreadID t, int &budget);
+
+    /** Cycle of the first pending completion-wheel bucket after the
+     *  current cycle; neverCycle when the wheel is empty. */
+    Cycle nextCompletion() const;
 
     /** Squash everything of t strictly younger than seq. */
     SquashInfo squashAfter(ThreadID t, InstSeqNum seq);
@@ -385,6 +435,11 @@ class Pipeline
     std::vector<ThreadState> threads;
     std::vector<std::vector<InstHandle>> wheel;
 
+    /** One bit per wheel bucket, set while the bucket is non-empty:
+     *  nextCompletion() scans 32 words instead of 2048 buckets. */
+    static constexpr std::size_t wheelWords = wheelSize / 64;
+    std::uint64_t wheelBusy[wheelWords] = {};
+
     /** Reused every cycle by fetchStage (no per-cycle allocation). */
     std::vector<FetchCand> fetchCands;
 
@@ -393,6 +448,10 @@ class Pipeline
     std::vector<ReadyEnt> replayScratch;
 
     Cycle cycle = 0;
+
+    /** The last tick did nothing (see idleThrough()). */
+    bool lastTickDead = false;
+    std::uint64_t skippedTotal = 0; //!< see cyclesSkipped()
 
     /**
      * cycle % numThreads and cycle % numQueueClasses, maintained
@@ -411,7 +470,6 @@ class Pipeline
     /** @{ */
     HostProfiler *hprof = nullptr;
     std::uint64_t hprofEvery = 0;  //!< cached sampleEvery()
-    std::uint64_t hprofTick = 0;   //!< decimation counter
     enum HsStage
     {
         HsMem,

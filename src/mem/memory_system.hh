@@ -10,6 +10,7 @@
 #ifndef DCRA_SMT_MEM_MEMORY_SYSTEM_HH
 #define DCRA_SMT_MEM_MEMORY_SYSTEM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -89,12 +90,21 @@ class MemorySystem
     FetchAccessResult instFetch(ThreadID tid, Addr pc, Cycle now);
 
     /** Retire completed misses; call once per cycle. Inline: with
-     *  the MSHR earliest-ready gate this is usually two compares. */
-    void
+     *  the MSHR earliest-ready gate this is usually two compares.
+     *  @return true when any entry retired. */
+    bool
     tick(Cycle now)
     {
-        mshrD.retire(now);
-        mshrI.retire(now);
+        return mshrD.retire(now) + mshrI.retire(now) != 0;
+    }
+
+    /** Earliest cycle an outstanding D- or I-side miss fills
+     *  (neverCycle when none is out): until then tick() is a no-op
+     *  and the MSHR counts stay put, unless a new miss allocates. */
+    Cycle
+    nextFill() const
+    {
+        return std::min(mshrD.nextFill(), mshrI.nextFill());
     }
 
     /** Zero all statistics; cache/TLB contents are untouched. */

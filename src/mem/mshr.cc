@@ -1,11 +1,15 @@
 #include "mem/mshr.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace smt {
 
 MshrFile::MshrFile(int nEntries)
-    : entries(static_cast<std::size_t>(nEntries))
+    : lines(static_cast<std::size_t>(nEntries > 0 ? nEntries : 0),
+            freeLine),
+      entries(lines.size())
 {
     SMT_ASSERT(nEntries > 0, "MSHR file needs at least one entry");
 }
@@ -13,11 +17,9 @@ MshrFile::MshrFile(int nEntries)
 const MshrFile::Entry *
 MshrFile::find(Addr line) const
 {
-    if (liveCount == 0)
-        return nullptr;
-    for (const auto &e : entries) {
-        if (e.valid && e.line == line)
-            return &e;
+    for (std::size_t i = 0; i < scanEnd; ++i) {
+        if (lines[i] == line)
+            return &entries[i];
     }
     return nullptr;
 }
@@ -27,19 +29,22 @@ MshrFile::alloc(Addr line, Cycle ready, ThreadID tid,
                 ServiceLevel level, bool isLoad)
 {
     SMT_ASSERT(!full(), "MSHR alloc on full file");
-    for (auto &e : entries) {
-        if (!e.valid) {
-            e = Entry{line, ready, tid, level, isLoad, true};
-            ++liveCount;
-            if (ready < nextReady)
-                nextReady = ready;
-            if (isLoad) {
-                ++loadCount[tid][static_cast<int>(level)];
-                if (level == ServiceLevel::Memory)
-                    ++memLoadTotal;
-            }
-            return;
+    SMT_ASSERT((line & 1) == 0, "MSHR alloc of a non-line address");
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (lines[i] != freeLine)
+            continue;
+        lines[i] = line;
+        entries[i] = Entry{ready, tid, level, isLoad};
+        ++liveCount;
+        scanEnd = std::max(scanEnd, i + 1);
+        if (ready < nextReady)
+            nextReady = ready;
+        if (isLoad) {
+            ++loadCount[tid][static_cast<int>(level)];
+            if (level == ServiceLevel::Memory)
+                ++memLoadTotal;
         }
+        return;
     }
     panic("MSHR file inconsistent: full() false but no free entry");
 }
@@ -51,11 +56,13 @@ MshrFile::retire(Cycle now)
         return 0; // nothing can arrive yet: skip the scan
     int released = 0;
     Cycle soonest = neverCycle;
-    for (auto &e : entries) {
-        if (!e.valid)
+    std::size_t end = 0;
+    for (std::size_t i = 0; i < scanEnd; ++i) {
+        if (lines[i] == freeLine)
             continue;
+        const Entry &e = entries[i];
         if (e.ready <= now) {
-            e.valid = false;
+            lines[i] = freeLine;
             --liveCount;
             ++released;
             if (e.isLoad) {
@@ -63,11 +70,13 @@ MshrFile::retire(Cycle now)
                 if (e.level == ServiceLevel::Memory)
                     --memLoadTotal;
             }
-        } else if (e.ready < soonest) {
-            soonest = e.ready;
+        } else {
+            soonest = std::min(soonest, e.ready);
+            end = i + 1;
         }
     }
     nextReady = soonest;
+    scanEnd = end;
     return released;
 }
 

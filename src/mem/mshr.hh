@@ -31,15 +31,13 @@ enum class ServiceLevel : std::uint8_t {
 class MshrFile
 {
   public:
-    /** One in-flight miss. */
+    /** One in-flight miss (its line lives in the packed line array). */
     struct Entry
     {
-        Addr line = 0;
         Cycle ready = 0;
         ThreadID tid = invalidThread;
         ServiceLevel level = ServiceLevel::L2;
         bool isLoad = false;
-        bool valid = false;
     };
 
     /** @param nEntries pool size. */
@@ -49,11 +47,12 @@ class MshrFile
     const Entry *find(Addr line) const;
 
     /** True when no entry is free. */
-    bool full() const { return liveCount == entries.size(); }
+    bool full() const { return liveCount == lines.size(); }
 
     /**
      * Allocate an entry.
-     * @pre !full() and no entry for this line exists.
+     * @pre !full(), no entry for this line exists, and @p line is a
+     *      line address (its low bit is clear).
      */
     void alloc(Addr line, Cycle ready, ThreadID tid,
                ServiceLevel level, bool isLoad);
@@ -63,6 +62,11 @@ class MshrFile
      * @return how many were released.
      */
     int retire(Cycle now);
+
+    /** Earliest ready cycle among live entries; neverCycle when the
+     *  file is empty. Nothing changes here before that cycle unless
+     *  an entry is allocated. */
+    Cycle nextFill() const { return nextReady; }
 
     /** Outstanding load misses of a thread at a given level or
      *  worse. Inline: polled every cycle by policies and metrics. */
@@ -89,11 +93,27 @@ class MshrFile
     int live() const { return static_cast<int>(liveCount); }
 
     /** Pool capacity. */
-    int capacity() const { return static_cast<int>(entries.size()); }
+    int capacity() const { return static_cast<int>(lines.size()); }
 
   private:
-    std::vector<Entry> entries;
+    /** Marks a free slot in `lines`: a line address has its low bit
+     *  clear, so no lookup can ever match it. */
+    static constexpr Addr freeLine = 1;
+
+    /**
+     * Line address of each slot (freeLine when free), packed apart
+     * from the entries: find(), which runs on every data access and
+     * instruction fetch, scans 8 bytes per slot instead of a whole
+     * Entry.
+     */
+    std::vector<Addr> lines;
+    std::vector<Entry> entries; //!< parallel to lines
     std::size_t liveCount = 0;
+
+    /** One past the highest live slot: alloc() takes the lowest free
+     *  slot, so the live entries crowd the front and find() scans
+     *  only that prefix. Lowered by the retire() scan. */
+    std::size_t scanEnd = 0;
 
     /**
      * Earliest ready cycle among live entries (neverCycle when

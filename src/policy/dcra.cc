@@ -1,5 +1,7 @@
 #include "policy/dcra.hh"
 
+#include <algorithm>
+
 #include "telemetry/telemetry.hh"
 
 namespace smt {
@@ -94,6 +96,25 @@ DcraPolicy::beginCycle(Cycle now)
                 gatedMask[t] = true;
         }
     }
+}
+
+Cycle
+DcraPolicy::quietThrough(Cycle now) const
+{
+    (void)now;
+    Cycle last = neverCycle;
+    for (int r = 0; r < NumResourceTypes; ++r) {
+        const auto rt = static_cast<ResourceType>(r);
+        if (!params.activityAllResources && !isFpResource(rt))
+            continue; // always active
+        for (int t = 0; t < ctx.cfg->numThreads; ++t) {
+            if (active[r][t]) {
+                last = std::min(last, ctx.tracker->lastAlloc(rt, t) +
+                                          params.activityThreshold);
+            }
+        }
+    }
+    return last;
 }
 
 bool

@@ -53,6 +53,22 @@ class DcraPolicy : public Policy
     bool gatesAllocation() const override { return false; }
 
     void beginCycle(Cycle now) override;
+
+    /** Phases follow the MSHR counts and occupancies follow pipeline
+     *  events; with time alone only an activity window can close
+     *  (at lastAlloc + Y), which can move a limit. */
+    Cycle quietThrough(Cycle now) const override;
+
+    /** beginCycle() is a pure function of the cycle and the counters
+     *  it reads, none of which moves in a skipped span before an
+     *  activity window closes: one evaluation at the span's last
+     *  cycle leaves the state n evaluations would. */
+    void skipCycles(Cycle from, Cycle to) override
+    {
+        (void)from;
+        beginCycle(to);
+    }
+
     bool fetchAllowed(ThreadID t, Cycle now) override;
 
     /**

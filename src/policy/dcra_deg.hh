@@ -21,6 +21,7 @@
 
 #include "policy/dcra.hh"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace smt {
@@ -62,6 +63,21 @@ class DcraDegPolicy : public DcraPolicy
             if (isSlow(t))
                 ++slowCycles[t];
         }
+    }
+
+    /** A window also closes at windowEnd. */
+    Cycle
+    quietThrough(Cycle now) const override
+    {
+        return std::min(DcraPolicy::quietThrough(now),
+                        std::max(windowEnd, now + 1) - 1);
+    }
+
+    /** The window counts slow cycles one by one. */
+    void
+    skipCycles(Cycle from, Cycle to) override
+    {
+        Policy::skipCycles(from, to);
     }
 
     /** Is t currently classified degenerate? (tests, examples) */

@@ -1,5 +1,7 @@
 #include "policy/flush.hh"
 
+#include <algorithm>
+
 namespace smt {
 
 void
@@ -9,6 +11,17 @@ FlushPolicy::beginCycle(Cycle now)
         if (flushing[t] && now >= stallUntil[t])
             flushing[t] = false;
     }
+}
+
+Cycle
+FlushPolicy::quietThrough(Cycle now) const
+{
+    Cycle last = neverCycle;
+    for (int t = 0; t < ctx.cfg->numThreads; ++t) {
+        if (flushing[t])
+            last = std::min(last, std::max(stallUntil[t], now + 1) - 1);
+    }
+    return last;
 }
 
 bool

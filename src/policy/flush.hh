@@ -37,6 +37,10 @@ class FlushPolicy : public Policy
     bool gatesAllocation() const override { return false; }
 
     void beginCycle(Cycle now) override;
+    /** A stalled thread's gate opens at its stallUntil; otherwise the
+     *  gate follows the MSHR counts (STALL mode) and flushes come
+     *  only from data accesses. */
+    Cycle quietThrough(Cycle now) const override;
     bool fetchAllowed(ThreadID t, Cycle now) override;
     void onDataAccess(ThreadID t, InstSeqNum seq, Addr pc,
                       ServiceLevel level, Cycle ready,

@@ -25,6 +25,9 @@ class IcountPolicy : public Policy
 
     /** Gates fetch at most; rename allocation is never vetoed. */
     bool gatesAllocation() const override { return false; }
+
+    /** Never gates and never flushes: nothing moves with time. */
+    Cycle quietThrough(Cycle) const override { return neverCycle; }
 };
 
 } // namespace smt

@@ -38,6 +38,9 @@ class PdgPolicy : public Policy
     /** Gates fetch at most; rename allocation is never vetoed. */
     bool gatesAllocation() const override { return false; }
 
+    /** A gate opens and closes only on pipeline events. */
+    Cycle quietThrough(Cycle) const override { return neverCycle; }
+
     bool fetchAllowed(ThreadID t, Cycle now) override;
     void onFetchLoad(ThreadID t, InstSeqNum seq, Addr pc) override;
     void onDataAccess(ThreadID t, InstSeqNum seq, Addr pc,

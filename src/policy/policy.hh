@@ -97,6 +97,30 @@ class Policy
     virtual void beginCycle(Cycle now) { (void)now; }
 
     /**
+     * Last cycle through which this policy's gates (fetchAllowed(),
+     * allocAllowed()) and flush requests provably keep the answers
+     * they give at @p now, as long as its core issues, commits and
+     * squashes nothing and no MSHR entry fills. Called between
+     * ticks, after beginCycle(now); the core may skip the cycles up
+     * to it (Pipeline::skipTo). The default, @p now, never lets the
+     * core skip, so it is never skipped past a context this policy
+     * gates.
+     */
+    virtual Cycle quietThrough(Cycle now) const { return now; }
+
+    /**
+     * The core skipped cycles (@p from, @p to]: bring the per-cycle
+     * state up to date. The default calls beginCycle() once per
+     * skipped cycle, in order.
+     */
+    virtual void
+    skipCycles(Cycle from, Cycle to)
+    {
+        for (Cycle c = from + 1; c <= to; ++c)
+            beginCycle(c);
+    }
+
+    /**
      * Opt into telemetry: register policy-specific time-series
      * channels (e.g. DCRA's per-thread fast/slow flip counters)
      * under @p prefix. The default policy exposes nothing. Readers

@@ -24,6 +24,9 @@ class RoundRobinPolicy : public Policy
     /** Gates fetch at most; rename allocation is never vetoed. */
     bool gatesAllocation() const override { return false; }
 
+    /** Never gates and never flushes: nothing moves with time. */
+    Cycle quietThrough(Cycle) const override { return neverCycle; }
+
     int
     fetchPriority(ThreadID t, Cycle now) const override
     {

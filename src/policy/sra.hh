@@ -23,6 +23,10 @@ class SraPolicy : public Policy
      *  instruction event stream is unused. */
     unsigned eventMask() const override { return 0; }
 
+    /** The caps follow occupancy, which moves only with pipeline
+     *  events. */
+    Cycle quietThrough(Cycle) const override { return neverCycle; }
+
     bool
     allocAllowed(ThreadID t, ResourceType r) override
     {

@@ -32,6 +32,9 @@ class StallPolicy : public Policy
     /** Gates fetch at most; rename allocation is never vetoed. */
     bool gatesAllocation() const override { return false; }
 
+    /** The gate follows the MSHR counts. */
+    Cycle quietThrough(Cycle) const override { return neverCycle; }
+
     bool
     fetchAllowed(ThreadID t, Cycle now) override
     {

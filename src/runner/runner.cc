@@ -292,6 +292,15 @@ cellAverage(const SweepResults &res, int numThreads,
             r.job.workload.type != type) {
             continue;
         }
+        // A failed job's summary is empty: averaging it in would read
+        // as throughput 0 and Hmean 0.
+        if (r.failed) {
+            fatal("job '%s' of sweep '%s' failed; cell %s%d under %s "
+                  "(config %zu) has no average",
+                  sweepJobKey(r.job).c_str(), res.spec.name.c_str(),
+                  workloadTypeName(type), numThreads,
+                  policyKindName(policy), configIdx);
+        }
         avg.throughput += r.summary.throughput;
         avg.hmean += r.summary.hmean;
         ++n;

@@ -132,7 +132,8 @@ struct CellAverage
 /**
  * Average the four paper groups of one workload cell under one
  * policy and config, the aggregation of figures 4-7. Calls fatal()
- * when the sweep contains no matching job.
+ * when the sweep contains no matching job, and names the first
+ * failed one when any matching job failed.
  */
 CellAverage cellAverage(const SweepResults &res, int numThreads,
                         WorkloadType type, PolicyKind policy,

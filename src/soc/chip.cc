@@ -424,30 +424,62 @@ ChipSimulator::tickCores(int w, Cycle from, Cycle end)
     // Cycle-major, ascending core order per worker is what makes the
     // wavefront's waits-for relation acyclic — see
     // soc/tick_wavefront.hh.
-    for (Cycle t = from + 1; t <= end; ++t) {
+    for (Cycle t = from + 1; t <= end;) {
         // Every core times the same cycles, so per-core scope totals
         // stay comparable.
         HostProfiler *timer =
             hprof && t % hprofEvery == 0 ? hprof : nullptr;
+        Cycle next = end + 1; // the first cycle a core still has to tick
         for (int c = w; c < nCores; c += nTickWorkers) {
             const std::size_t ci = static_cast<std::size_t>(c);
+            Pipeline &pipe = *cores[ci].pipe;
+            if (pipe.now() >= t) {
+                next = std::min(next, pipe.now() + 1);
+                continue; // skipped through t
+            }
             {
                 ProfScope hps(timer, timer ? hsCoreTick[ci] : 0);
-                cores[ci].pipe->tick();
+                pipe.tick();
             }
             const MemorySystem &mem = *cores[ci].mem;
-            CycleRecord &r = cycleRecord(c, t);
-            r.slowCtx = 0;
+            CycleRecord r;
             for (int k = 0; k < nCtx; ++k) {
                 if (mem.pendingL1DLoads(k) > 0)
                     r.slowCtx |= 1u << k;
             }
             r.memLoads =
                 static_cast<std::uint32_t>(mem.outstandingMemLoads());
+            cycleRecord(c, t) = r;
+
+            // After a dead tick, jump over the cycles on which the
+            // core provably does nothing. No MSHR entry moves in
+            // them, so each one's record is this one, and the core
+            // makes no LLC access in them, so its completion can be
+            // published for the whole span at once.
+            const Cycle to = pipe.idleThrough(end);
+            if (to > t) {
+                for (Cycle u = t + 1; u <= to; ++u)
+                    cycleRecord(c, u) = r;
+                pipe.skipTo(to);
+                if (hprof)
+                    sampledSkips[ci] += to / hprofEvery - t / hprofEvery;
+            }
             if (wavefront)
-                wavefront->coreDone(c, t);
+                wavefront->coreDone(c, to);
+            next = std::min(next, to + 1);
         }
+        t = next;
     }
+}
+
+bool
+ChipSimulator::sameRecords(Cycle a, Cycle b)
+{
+    for (int c = 0; c < nCores; ++c) {
+        if (!(cycleRecord(c, a) == cycleRecord(c, b)))
+            return false;
+    }
+    return true;
 }
 
 void
@@ -585,6 +617,7 @@ ChipSimulator::setHostProfiler(HostProfiler *prof)
         return;
     }
     hprofEvery = prof->sampleEvery();
+    sampledSkips.assign(static_cast<std::size_t>(nCores), 0);
     for (int c = 0; c < nCores; ++c) {
         const std::string cp = "c" + std::to_string(c) + ".";
         hsCoreTick.push_back(
@@ -841,8 +874,14 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
         // moves no MSHR entry, so today's placement reads every
         // cycle's records as the per-cycle loop did; contexts that
         // hold no thread (which can still own MSHR loads of a
-        // departed one) are skipped.
-        for (Cycle t = from + 1; t <= cycle; ++t) {
+        // departed one) are skipped. Without a hub, which samples
+        // every cycle, a run of cycles whose records match on every
+        // core (such as a span the cores skipped) is counted once
+        // with its length.
+        for (Cycle t = from + 1; t <= cycle;) {
+            Cycle n = 1;
+            while (!telem && t + n <= cycle && sameRecords(t, t + n))
+                ++n;
             int nSlow = 0;
             for (int s = 0; s < nThreads; ++s) {
                 const std::uint32_t mask =
@@ -860,13 +899,14 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
                         "{\"thread\": " + std::to_string(s) + "}");
                 }
             }
-            ++slowCycles[static_cast<std::size_t>(nSlow)];
+            slowCycles[static_cast<std::size_t>(nSlow)] += n;
             std::uint64_t memLoads = 0;
             for (int c = 0; c < nCores; ++c)
                 memLoads += cycleRecord(c, t).memLoads;
-            mlp.sample(memLoads);
+            mlp.sample(memLoads, n);
             if (telem)
                 telem->tick(t);
+            t += n;
         }
 
         done = maxCommitted() >= commitLimit;

@@ -146,6 +146,18 @@ class ChipSimulator
     void setAuditInterval(Cycle auditEvery) { auditPeriod = auditEvery; }
     /** Longest quantum run() ticked between two main-thread steps. */
     Cycle longestQuantum() const { return maxQuantum; }
+    /** Cycles divisible by the profiler's sampleEvery() that core
+     *  @p core skipped (Pipeline::skipTo) rather than ticked: its
+     *  c<N>.tick and stage scopes hit once per sampled cycle it
+     *  ticked, so hits plus these make every sampled cycle. Zero
+     *  without a profiler. */
+    std::uint64_t
+    sampledCyclesSkipped(int core) const
+    {
+        return sampledSkips.empty()
+            ? 0
+            : sampledSkips[static_cast<std::size_t>(core)];
+    }
     /** @} */
 
   private:
@@ -197,7 +209,10 @@ class ChipSimulator
      * (migrations, epochs, sampling) alone. With W == 1 there is no
      * TickWavefront and this is the serial loop. Determinism comes
      * from the TickWavefront gate in the SharedCache — see
-     * soc/tick_wavefront.hh for the ordering argument.
+     * soc/tick_wavefront.hh for the ordering argument. After a dead
+     * tick a core jumps to the last cycle before its next wake,
+     * capped at the quantum end (Pipeline::idleThrough, skipTo); a
+     * telemetry run's one-cycle quanta never leave room to skip.
      */
     /** @{ */
     /** What the main thread samples of one core after one cycle. */
@@ -205,6 +220,12 @@ class ChipSimulator
     {
         std::uint32_t slowCtx = 0;  //!< contexts with L1D loads out
         std::uint32_t memLoads = 0; //!< outstandingMemLoads()
+
+        bool
+        operator==(const CycleRecord &o) const
+        {
+            return slowCtx == o.slowCtx && memLoads == o.memLoads;
+        }
     };
 
     /** Tick every core through the next quantum (quantumLength()
@@ -220,6 +241,8 @@ class ChipSimulator
         return ring[static_cast<std::size_t>(core) * quantumRing +
                     t % quantumRing];
     }
+    /** Do cycles @p a and @p b hold the same record on every core? */
+    bool sameRecords(Cycle a, Cycle b);
     /** @} */
 
     CtxTotals readCtx(int core, int ctx) const;
@@ -309,6 +332,9 @@ class ChipSimulator
     int hsMigrate = 0;             //!< chip.migrate scope
     int hsMainAwait = 0;           //!< wave.main.await scope
     std::vector<int> hsWorkerIdle; //!< wave.w<i>.idle (workers 1..)
+    /** Per core: sampled cycles skipped (owning worker writes, read
+     *  after the run). */
+    std::vector<std::uint64_t> sampledSkips;
     /** @} */
 };
 

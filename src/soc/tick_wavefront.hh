@@ -36,6 +36,12 @@
  * in increasing order. The smallest unfinished pair therefore waits
  * on nothing, so some worker always makes progress.
  *
+ * Skipped cycles. A core whose coming ticks are provably dead
+ * (Pipeline::idleThrough) jumps over them and marks the whole span
+ * done at once: it makes no LLC access in it, so nothing can be
+ * ordered after those pairs, and the early completion only lets
+ * gates open sooner.
+ *
  * Telemetry pins K to 1: the hub's main-thread events (migrations,
  * phase flips, samples) and its LLC-stream events (gate follows,
  * arbiter re-deals) append to one ordered vector, and only per-cycle

@@ -556,10 +556,10 @@ WrongPathSynth::init(const BenchProfile &prof)
     nearBase = layout::nearBase;
 }
 
-TraceInst
-WrongPathSynth::inst(Addr pc, std::uint64_t salt) const
+void
+WrongPathSynth::inst(Addr pc, std::uint64_t salt, TraceInst &ti) const
 {
-    TraceInst ti;
+    ti = TraceInst{};
     ti.pc = pc;
     const std::uint64_t h = mix64(pc ^ mix64(salt));
     const std::uint32_t u20 =
@@ -604,7 +604,6 @@ WrongPathSynth::inst(Addr pc, std::uint64_t salt) const
         ti.dst = 1 + static_cast<ArchRegId>((h >> 32) %
                                             (numIntArchRegs - 1));
     }
-    return ti;
 }
 
 } // namespace smt

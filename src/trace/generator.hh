@@ -228,8 +228,9 @@ class WrongPathSynth
     /** Precompute from a profile; must be called before inst(). */
     void init(const BenchProfile &prof);
 
-    /** Same contract as wrongPathInst(pc, prof, salt). */
-    TraceInst inst(Addr pc, std::uint64_t salt) const;
+    /** Write wrongPathInst(pc, prof, salt) into @p ti (every field;
+     *  the fetch stage synthesizes straight into a pool record). */
+    void inst(Addr pc, std::uint64_t salt, TraceInst &ti) const;
 
   private:
     /** Exact x % d via double reciprocal plus one-step fixup;

@@ -358,4 +358,107 @@ TEST(Pipeline, FpRegistersUntouchedByIntThread)
     EXPECT_EQ(pipe.tracker().occupancy(ResIqFp, 0), 0);
 }
 
+/** The counters two cores must agree on at the same cycle. */
+void
+expectSameCore(const Pipeline &a, const Pipeline &b, Cycle at)
+{
+    ASSERT_EQ(a.now(), b.now());
+    const PipelineStats &x = a.stats();
+    const PipelineStats &y = b.stats();
+    ASSERT_EQ(x.cycles, y.cycles) << "cycle " << at;
+    for (int t = 0; t < a.numThreads(); ++t) {
+        ASSERT_EQ(x.committed[t], y.committed[t]) << "cycle " << at;
+        ASSERT_EQ(x.commitHash[t], y.commitHash[t]) << "cycle " << at;
+        ASSERT_EQ(x.fetched[t], y.fetched[t]) << "cycle " << at;
+        ASSERT_EQ(x.issued[t], y.issued[t]) << "cycle " << at;
+        ASSERT_EQ(x.squashed[t], y.squashed[t]) << "cycle " << at;
+        ASSERT_EQ(x.flushes[t], y.flushes[t]) << "cycle " << at;
+        ASSERT_EQ(a.tracker().preIssue(t), b.tracker().preIssue(t));
+        ASSERT_EQ(a.rob().size(t), b.rob().size(t)) << "cycle " << at;
+    }
+}
+
+TEST(SkipDeadCycles, EveryWakeSourceEndsASkipThatChangesNothing)
+{
+    // Two identical cores: the reference ticks every cycle, the other
+    // skips after each dead tick as far as idleThrough() allows.
+    // Wherever the skipper stops, the reference is brought to the
+    // same cycle and they must agree; on the way, every reference
+    // tick inside the span must have been dead with the same bound.
+    // Across the runs, each pipeline wake source must end some skip.
+    struct Case
+    {
+        PolicyKind policy;
+        std::vector<std::string> benches;
+        Cycle memLatency;
+    };
+    const Case cases[] = {
+        {PolicyKind::Icount, {"mcf", "art"}, 500},
+        {PolicyKind::Dcra, {"gzip", "mcf"}, 300},
+        {PolicyKind::Flush, {"swim", "mcf", "gzip"}, 300},
+    };
+    enum { Mshr, Completion, Resume, FrontEnd, Policy_, Sources };
+    std::uint64_t ended[Sources] = {};
+    for (const Case &c : cases) {
+        SimConfig cfg = smallConfig();
+        cfg.mem.memLatency = c.memLatency;
+        ChipSimulator refChip(cfg, c.benches, c.policy);
+        ChipSimulator skipChip(cfg, c.benches, c.policy);
+        Pipeline &ref = refChip.pipeline(0);
+        Pipeline &skip = skipChip.pipeline(0);
+        while (skip.now() < 40'000) {
+            skip.tick();
+            const Cycle now = skip.now();
+            // The chip's longest quantum caps a skip.
+            const Cycle cap = now + quantumRing;
+            const Cycle to = skip.idleThrough(cap);
+            if (to > now) {
+                const Pipeline::Wakes w = skip.wakes();
+                ended[Mshr] += to == w.mshrFill;
+                ended[Completion] += to == w.completion;
+                ended[Resume] += to == w.fetchResume;
+                ended[FrontEnd] += to == w.frontEnd;
+                ended[Policy_] += to == w.policy;
+                // A quantum end caps the skip like any wake.
+                ASSERT_EQ(skip.idleThrough(now + 1), now + 1);
+                skip.skipTo(to);
+                ASSERT_EQ(skip.now(), to);
+            }
+            while (ref.now() < now) {
+                ref.tick();
+            }
+            for (Cycle u = now + 1; u <= to; ++u) {
+                ref.tick();
+                ASSERT_EQ(ref.idleThrough(cap), to)
+                    << "reference tick " << u << " was not dead";
+            }
+            expectSameCore(ref, skip, now);
+        }
+        EXPECT_GT(skip.cyclesSkipped(), 4000u);
+        EXPECT_EQ(ref.cyclesSkipped(), 0u);
+    }
+    EXPECT_GT(ended[Mshr], 0u);
+    EXPECT_GT(ended[Completion], 0u);
+    EXPECT_GT(ended[Resume], 0u);
+    EXPECT_GT(ended[FrontEnd], 0u);
+    EXPECT_GT(ended[Policy_], 0u);
+}
+
+TEST(SkipDeadCycles, SkippingPastAWakeAborts)
+{
+    ChipSimulator sim(smallConfig(), {"mcf"}, PolicyKind::Icount);
+    Pipeline &pipe = sim.pipeline(0);
+    // Find a skip that a wake, not the cap, ends.
+    Cycle to = 0;
+    Cycle cap = 0;
+    while (to <= pipe.now() || to == cap) {
+        pipe.tick();
+        cap = pipe.now() + quantumRing;
+        to = pipe.idleThrough(cap);
+    }
+    EXPECT_TRUE(diesWithAbort([&pipe, to] { pipe.skipTo(to + 1); }));
+    pipe.skipTo(to);
+    EXPECT_EQ(pipe.now(), to);
+}
+
 } // anonymous namespace

@@ -208,6 +208,48 @@ TEST(Dcra, FpResourcesGoInactiveAfterThreshold)
     EXPECT_TRUE(p.isActive(ResIqFp, 0));
 }
 
+TEST(Dcra, ActivityExpiryBoundsTheSkip)
+{
+    // By time alone DCRA changes only when an fp activity window
+    // closes: its bound is the last cycle the window is still open,
+    // and skipping to it leaves the state per-cycle evaluation does.
+    DcraHarness h;
+    PolicyParams pp;
+    pp.activityThreshold = 256;
+    DcraPolicy p = h.make(pp);
+    DcraPolicy ref = h.make(pp);
+    // Every window starts open at cycle 0.
+    p.beginCycle(5);
+    EXPECT_EQ(p.quietThrough(5), 256u);
+    p.beginCycle(257);
+    EXPECT_EQ(p.quietThrough(257), neverCycle) << "no fp activity";
+
+    h.tracker.allocate(ResRegFp, 1, 340);
+    h.tracker.allocate(ResIqFp, 0, 310);
+    h.tracker.allocate(ResIqInt, 0, 310); // always active: no bound
+    h.makeSlow(0, 310);
+    p.beginCycle(311);
+    ref.beginCycle(311);
+    EXPECT_EQ(p.quietThrough(311), 310u + 256u);
+
+    p.skipCycles(311, 310 + 256);
+    for (Cycle c = 312; c <= 310 + 256; ++c)
+        ref.beginCycle(c);
+    for (ThreadID t = 0; t < 2; ++t) {
+        EXPECT_EQ(p.isSlow(t), ref.isSlow(t));
+        EXPECT_EQ(p.isGated(t), ref.isGated(t));
+        for (int r = 0; r < NumResourceTypes; ++r) {
+            const auto rt = static_cast<ResourceType>(r);
+            EXPECT_EQ(p.isActive(rt, t), ref.isActive(rt, t));
+            EXPECT_EQ(p.slowLimit(rt), ref.slowLimit(rt));
+        }
+    }
+    EXPECT_TRUE(p.isActive(ResIqFp, 0));
+    p.beginCycle(310 + 257);
+    EXPECT_FALSE(p.isActive(ResIqFp, 0)) << "the window closed";
+    EXPECT_EQ(p.quietThrough(310 + 257), 340u + 256u);
+}
+
 TEST(Dcra, SlowActiveThreadOverLimitIsGated)
 {
     DcraHarness h;

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "common/random.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "mem/mshr.hh"
@@ -213,6 +216,85 @@ TEST(Mshr, CountsDropAtRetire)
     m.retire(10);
     EXPECT_EQ(m.pendingLoads(2, ServiceLevel::L2), 0);
     EXPECT_EQ(m.outstandingMemLoads(), 0);
+}
+
+TEST(Mshr, MatchesAReferenceMapUnderRandomTraffic)
+{
+    // The packed line lookup against a map from line to entry: a
+    // small line pool makes merges (find hits) common, the short
+    // latencies keep the files full often, and every step checks
+    // find, full, live, nextFill and all the load counts.
+    for (const int cap : {1, 3, 8, 32}) {
+        MshrFile m(cap);
+        std::map<Addr, MshrFile::Entry> ref;
+        Rng rng(0x5eed + static_cast<std::uint64_t>(cap));
+        Cycle now = 0;
+        for (int step = 0; step < 20000; ++step) {
+            now += rng.below(3);
+            int released = 0;
+            for (auto it = ref.begin(); it != ref.end();) {
+                if (it->second.ready <= now) {
+                    it = ref.erase(it);
+                    ++released;
+                } else {
+                    ++it;
+                }
+            }
+            ASSERT_EQ(m.retire(now), released) << "step " << step;
+
+            const Addr line = 64 * rng.below(48);
+            const MshrFile::Entry *e = m.find(line);
+            const auto it = ref.find(line);
+            ASSERT_EQ(e != nullptr, it != ref.end()) << "step " << step;
+            if (e) {
+                EXPECT_EQ(e->ready, it->second.ready);
+                EXPECT_EQ(e->tid, it->second.tid);
+                EXPECT_EQ(e->level, it->second.level);
+                EXPECT_EQ(e->isLoad, it->second.isLoad);
+            } else if (!m.full()) {
+                MshrFile::Entry n;
+                n.ready = now + 1 + rng.below(40);
+                n.tid = static_cast<ThreadID>(rng.below(4));
+                n.level = rng.below(2) ? ServiceLevel::Memory
+                                       : ServiceLevel::L2;
+                n.isLoad = rng.below(4) != 0;
+                m.alloc(line, n.ready, n.tid, n.level, n.isLoad);
+                ref[line] = n;
+            }
+
+            ASSERT_EQ(m.live(), static_cast<int>(ref.size()));
+            EXPECT_EQ(m.full(), static_cast<int>(ref.size()) == cap);
+            Cycle soonest = neverCycle;
+            int count[4][4] = {};
+            int memLoads = 0;
+            for (const auto &[l, x] : ref) {
+                soonest = std::min(soonest, x.ready);
+                if (x.isLoad) {
+                    ++count[x.tid][static_cast<int>(x.level)];
+                    memLoads += x.level == ServiceLevel::Memory;
+                }
+            }
+            EXPECT_EQ(m.nextFill(), soonest);
+            EXPECT_EQ(m.outstandingMemLoads(), memLoads);
+            for (ThreadID t = 0; t < 4; ++t) {
+                EXPECT_EQ(m.pendingLoads(t, ServiceLevel::L2),
+                          count[t][2] + count[t][3]);
+                EXPECT_EQ(m.pendingLoads(t, ServiceLevel::Memory),
+                          count[t][3]);
+                EXPECT_EQ(m.outstandingLoads(t, ServiceLevel::L2),
+                          count[t][2]);
+            }
+        }
+    }
+}
+
+TEST(Mshr, RefusesAnAddressThatIsNotALine)
+{
+    // An odd address would collide with the free-slot sentinel.
+    EXPECT_TRUE(smt::test::diesWithAbort([] {
+        MshrFile m(2);
+        m.alloc(0x101, 10, 0, ServiceLevel::L2, true);
+    }));
 }
 
 TEST(Tlb, HitAfterMiss)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "policy/dgate.hh"
 #include "policy/factory.hh"
 #include "policy/flush.hh"
@@ -182,6 +184,60 @@ TEST(Flush, SecondMissExtendsStallWithoutSecondSquash)
     EXPECT_FALSE(p.fetchAllowed(0, 301)) << "stall extended to 600";
     p.beginCycle(600);
     EXPECT_TRUE(p.fetchAllowed(0, 600));
+}
+
+TEST(Flush, StallUntilBoundsTheSkip)
+{
+    // Between ticks a flushed thread's gate holds through the cycle
+    // before its stall ends, and no longer: the core may skip to
+    // there and must tick the cycle the gate opens.
+    PolicyHarness h;
+    PolicyParams pp;
+    pp.l2MissGateThreshold = 1;
+    FlushPolicy p(pp);
+    h.bind(p);
+    EXPECT_EQ(p.quietThrough(9), neverCycle);
+    h.mem.dataAccess(0, 0x10000, true, 9);
+    p.onDataAccess(0, 10, 0x4000, ServiceLevel::Memory, 300, false);
+    ThreadID t;
+    InstSeqNum s;
+    ASSERT_TRUE(p.takeFlushRequest(t, s));
+    EXPECT_EQ(p.quietThrough(9), 299u);
+    ASSERT_TRUE(h.mem.dataAccess(1, 0x50000, true, 10).accepted);
+    p.onDataAccess(1, 11, 0x4100, ServiceLevel::Memory, 250, false);
+    ASSERT_TRUE(p.takeFlushRequest(t, s));
+    EXPECT_EQ(p.quietThrough(9), 249u) << "the earlier stall ends first";
+    p.skipCycles(9, 249);
+    EXPECT_FALSE(p.fetchAllowed(1, 249));
+    p.beginCycle(250);
+    EXPECT_TRUE(p.fetchAllowed(1, 250));
+    EXPECT_EQ(p.quietThrough(250), 299u);
+    p.beginCycle(300);
+    EXPECT_TRUE(p.fetchAllowed(0, 300));
+    EXPECT_EQ(p.quietThrough(300), neverCycle);
+}
+
+TEST(Policy, TheDefaultBoundNeverSkips)
+{
+    // A policy that does not say how long its gates hold could gate a
+    // context on any cycle, so its core never skips.
+    class Plain : public Policy
+    {
+      public:
+        const char *name() const override { return "plain"; }
+    };
+    PolicyHarness h;
+    Plain p;
+    h.bind(p);
+    EXPECT_EQ(p.quietThrough(42), 42u);
+    // The built-in policies without time-driven gates never bound.
+    for (const PolicyKind k :
+         {PolicyKind::RoundRobin, PolicyKind::Icount, PolicyKind::Stall,
+          PolicyKind::DataGating, PolicyKind::Pdg, PolicyKind::Sra}) {
+        const std::unique_ptr<Policy> q = makePolicy(k, PolicyParams{});
+        h.bind(*q);
+        EXPECT_EQ(q->quietThrough(42), neverCycle) << q->name();
+    }
 }
 
 TEST(Flush, L2HitsDoNotTrigger)

@@ -276,8 +276,12 @@ TEST(ProfSim, AttachingAProfilerPerturbsNothing)
         EXPECT_DOUBLE_EQ(a.threads[t].ipc, b.threads[t].ipc);
     }
     // The profiler timed the core's tick and every pipeline stage on
-    // exactly the sampled ticks: 1 in 16 of them. A single core's
-    // scopes carry the chip's "c0." prefix like any other core's.
+    // exactly the sampled cycles (1 in 16) the core ticked; the chip
+    // counts the sampled cycles it skipped instead, and together they
+    // are every sampled cycle. A single core's scopes carry the
+    // chip's "c0." prefix like any other core's.
+    const std::uint64_t skipped = timed.sampledCyclesSkipped(0);
+    EXPECT_GT(skipped, 0u);
     int stages = 0, ticks = 0;
     for (std::size_t s = 0; s < prof.scopeCount(); ++s) {
         const int id = static_cast<int>(s);
@@ -288,7 +292,7 @@ TEST(ProfSim, AttachingAProfilerPerturbsNothing)
             ++ticks;
         else
             continue;
-        EXPECT_EQ(prof.scopeHits(id), b.cycles / 16) << name;
+        EXPECT_EQ(prof.scopeHits(id) + skipped, b.cycles / 16) << name;
     }
     EXPECT_EQ(stages, 8);
     EXPECT_EQ(ticks, 1);
@@ -354,15 +358,21 @@ TEST(ProfSim, ChipProfilerPerturbsNothingAndRecordsWavefront)
     EXPECT_EQ(wavefront, 2);
 
     // Core ticks are sampled on the cycles divisible by 16, the same
-    // cycles on every core; the wavefront scopes are exact and hit
-    // once per quantum, far less often than once per cycle.
+    // cycles on every core: each core ticked or skipped every one of
+    // them. The wavefront scopes are exact and hit once per quantum,
+    // far less often than once per cycle.
     const int t0 = scopeIdOf(prof, "c0.tick");
     const int t1 = scopeIdOf(prof, "c1.tick");
     ASSERT_GE(t0, 0);
     ASSERT_GE(t1, 0);
     EXPECT_EQ(prof.scopeEvery(t0), 16u);
-    EXPECT_EQ(prof.scopeHits(t0), b.cycles / 16);
-    EXPECT_EQ(prof.scopeHits(t1), prof.scopeHits(t0));
+    EXPECT_EQ(prof.scopeHits(t0) + timed.sampledCyclesSkipped(0),
+              b.cycles / 16);
+    EXPECT_EQ(prof.scopeHits(t1) + timed.sampledCyclesSkipped(1),
+              b.cycles / 16);
+    EXPECT_GT(timed.sampledCyclesSkipped(0) +
+                  timed.sampledCyclesSkipped(1),
+              0u);
     const int await = scopeIdOf(prof, "wave.main.await");
     ASSERT_GE(await, 0);
     EXPECT_EQ(prof.scopeEvery(await), 1u);

@@ -862,6 +862,37 @@ TEST(SweepIsolation, ExhaustedRetriesLandInFailures)
     EXPECT_EQ(csv.find('\n'), csv.size() - 1);
 }
 
+TEST(SweepIsolation, CellAverageRefusesAFailedJob)
+{
+    // A crashed job keeps an empty summary: averaged into its cell it
+    // would read as throughput 0 and Hmean 0 in every figure.
+    SweepSpec spec = tinySpec();
+    spec.workloads = workloadsOf(2, WorkloadType::MIX);
+    spec.policies = {PolicyKind::Icount, PolicyKind::Dcra};
+    RunnerOptions opts;
+    opts.exec.isolate = true;
+    const std::size_t bad = spec.workloads.size() + 1; // a DCRA job
+    ASSERT_TRUE(
+        FaultPlan::parse(std::to_string(bad) + ":crash", opts.faults));
+    SweepRunner r(spec, 2, nullptr, opts);
+    const SweepResults res = r.run();
+    ASSERT_EQ(res.failures.size(), 1u);
+    ASSERT_EQ(res.failures[0].index, bad);
+
+    // The cell without the failure still averages.
+    EXPECT_GT(cellAverage(res, 2, WorkloadType::MIX, PolicyKind::Icount)
+                  .hmean,
+              0.0);
+    int sig = 0;
+    const int rc = runInChild(
+        [&]() {
+            cellAverage(res, 2, WorkloadType::MIX, PolicyKind::Dcra);
+        },
+        sig);
+    EXPECT_EQ(rc, 1); // fatal() exits 1
+    EXPECT_EQ(sig, 0);
+}
+
 TEST(SweepRunner, FailedSidecarWriteFailsTheJob)
 {
     // A directory squats on job 1's time-series path, so that write

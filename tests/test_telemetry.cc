@@ -22,8 +22,10 @@
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "policy/factory.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
+#include "sim/workload.hh"
 #include "sim/simulator.hh"
 #include "soc/chip.hh"
 #include "telemetry/telemetry.hh"
@@ -317,31 +319,99 @@ chipBenches()
     return b;
 }
 
+/** Every SimResult field of two runs, compared exactly. */
+void
+expectSameResult(const SimResult &a, const SimResult &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.slowPhaseCycles, b.slowPhaseCycles) << what;
+    EXPECT_EQ(a.mlpBusyMean, b.mlpBusyMean) << what;
+    ASSERT_EQ(a.threads.size(), b.threads.size()) << what;
+    for (std::size_t t = 0; t < a.threads.size(); ++t) {
+        const ThreadResult &x = a.threads[t];
+        const ThreadResult &y = b.threads[t];
+        EXPECT_EQ(x.bench, y.bench) << what;
+        EXPECT_EQ(x.committed, y.committed) << what;
+        EXPECT_EQ(x.ipc, y.ipc) << what;
+        EXPECT_EQ(x.fetched, y.fetched) << what;
+        EXPECT_EQ(x.fetchedWrongPath, y.fetchedWrongPath) << what;
+        EXPECT_EQ(x.squashed, y.squashed) << what;
+        EXPECT_EQ(x.condBranches, y.condBranches) << what;
+        EXPECT_EQ(x.mispredicts, y.mispredicts) << what;
+        EXPECT_EQ(x.flushes, y.flushes) << what;
+        EXPECT_EQ(x.l1dAccesses, y.l1dAccesses) << what;
+        EXPECT_EQ(x.l1dMisses, y.l1dMisses) << what;
+        EXPECT_EQ(x.l2Accesses, y.l2Accesses) << what;
+        EXPECT_EQ(x.l2Misses, y.l2Misses) << what;
+    }
+    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes) << what;
+    EXPECT_EQ(a.migrations, b.migrations) << what;
+    EXPECT_EQ(a.allocEpochs, b.allocEpochs) << what;
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses) << what;
+    EXPECT_EQ(a.llcMisses, b.llcMisses) << what;
+    EXPECT_EQ(a.llcArbiter, b.llcArbiter) << what;
+    EXPECT_EQ(a.llcShareReassignments, b.llcShareReassignments) << what;
+    ASSERT_EQ(a.llcPerCore.size(), b.llcPerCore.size()) << what;
+    for (std::size_t c = 0; c < a.llcPerCore.size(); ++c) {
+        EXPECT_EQ(a.llcPerCore[c].accesses, b.llcPerCore[c].accesses);
+        EXPECT_EQ(a.llcPerCore[c].misses, b.llcPerCore[c].misses);
+        EXPECT_EQ(a.llcPerCore[c].mshrShare, b.llcPerCore[c].mshrShare);
+        EXPECT_EQ(a.llcPerCore[c].ways, b.llcPerCore[c].ways);
+        EXPECT_EQ(a.llcPerCore[c].linesOwned,
+                  b.llcPerCore[c].linesOwned);
+    }
+}
+
 TEST(TelemetrySim, AttachingAHubPerturbsNothing)
 {
-    const std::vector<std::string> benches = {"gzip", "mcf"};
-    SimConfig cfg;
-    ChipSimulator bare(cfg, benches, PolicyKind::Dcra);
-    const SimResult a = bare.run(3000, 2'000'000);
+    // A hub pins every quantum to one cycle, so a hub-attached run
+    // ticks every cycle and never skips one: it is the per-cycle
+    // reference. The bare run skips dead cycles wherever its policy's
+    // bound allows, and must match it in every SimResult field, for
+    // every policy, on a memory-bound and a mixed pair.
+    struct Case
+    {
+        const char *workload;
+        Cycle memLatency;
+    };
+    const Case cases[] = {{"MEM2.g1", 500}, {"MIX2.g3", 300}};
+    for (const char *name : policyNames()) {
+        for (const Case &c : cases) {
+            const std::string what = std::string(name) + " on " +
+                c.workload + " at mem " + std::to_string(c.memLatency);
+            SimConfig cfg;
+            cfg.mem.memLatency = c.memLatency;
+            std::vector<std::string> benches;
+            for (const Workload &w : allWorkloads()) {
+                if (w.id == c.workload)
+                    benches = w.benches;
+            }
+            ASSERT_EQ(benches.size(), 2u) << what;
+            const PolicyKind kind = parsePolicyKind(name);
 
-    TelemetryHub hub(500);
-    ChipSimulator traced(cfg, benches, PolicyKind::Dcra);
-    traced.setTelemetry(&hub);
-    const SimResult b = traced.run(3000, 2'000'000);
+            ChipSimulator bare(cfg, benches, kind);
+            const SimResult a = bare.run(4000, 2'000'000, 2000);
+            EXPECT_GT(bare.pipeline(0).cyclesSkipped(), 0u) << what;
 
-    EXPECT_EQ(a.cycles, b.cycles);
-    ASSERT_EQ(a.threads.size(), b.threads.size());
-    for (std::size_t t = 0; t < a.threads.size(); ++t) {
-        EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
-        EXPECT_DOUBLE_EQ(a.threads[t].ipc, b.threads[t].ipc);
+            TelemetryHub hub(500);
+            ChipSimulator traced(cfg, benches, kind);
+            traced.setTelemetry(&hub);
+            const SimResult b = traced.run(4000, 2'000'000, 2000);
+            EXPECT_EQ(traced.pipeline(0).cyclesSkipped(), 0u) << what;
+            expectSameResult(a, b, what);
+            EXPECT_GT(hub.sampleCount(), 0u) << what;
+
+            // A single core's channels carry the chip's "c0." prefix,
+            // next to the chip-level per-thread IPC.
+            const std::string ts = hub.renderTimeSeries();
+            const std::string header = ts.substr(0, ts.find('\n'));
+            EXPECT_NE(header.find("\"c0.t0.ipc\""), std::string::npos)
+                << header;
+            EXPECT_NE(header.find("\"t0.ipc\""), std::string::npos)
+                << header;
+        }
     }
-    EXPECT_GT(hub.sampleCount(), 0u);
-    // A single core's channels carry the chip's "c0." prefix, next
-    // to the chip-level per-thread IPC.
-    const std::string ts = hub.renderTimeSeries();
-    const std::string header = ts.substr(0, ts.find('\n'));
-    EXPECT_NE(header.find("\"c0.t0.ipc\""), std::string::npos) << header;
-    EXPECT_NE(header.find("\"t0.ipc\""), std::string::npos) << header;
 }
 
 TEST(TelemetrySim, ChipHubPerturbsNothing)

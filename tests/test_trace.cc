@@ -332,6 +332,38 @@ TEST(Generator, StreamsAdvanceSequentially)
     EXPECT_GT(static_cast<double>(monotone) / total, 0.95);
 }
 
+TEST(WrongPath, InPlaceSynthesisMatchesTheReferenceAndClearsTheRecord)
+{
+    // The fetch stage synthesizes into a reused pool record: every
+    // field must come out as wrongPathInst() builds it, whatever the
+    // record held before.
+    for (const char *bench : {"gzip", "mcf", "art", "swim", "eon"}) {
+        const BenchProfile &p = benchProfile(bench);
+        WrongPathSynth synth;
+        synth.init(p);
+        TraceInst got;
+        for (std::uint64_t s = 0; s < 4000; ++s) {
+            got.effAddr = got.target = ~0ull;
+            got.dst = got.src1 = got.src2 = 7;
+            got.taken = got.isCall = got.isReturn = got.isCond = true;
+            const Addr pc = 0x400000 + 4 * (s * 7919 % 65536);
+            synth.inst(pc, s, got);
+            const TraceInst want = wrongPathInst(pc, p, s);
+            ASSERT_EQ(got.pc, want.pc) << bench << " salt " << s;
+            ASSERT_EQ(got.effAddr, want.effAddr) << bench << " " << s;
+            ASSERT_EQ(got.target, want.target) << bench << " " << s;
+            ASSERT_EQ(got.op, want.op) << bench << " " << s;
+            ASSERT_EQ(got.dst, want.dst) << bench << " " << s;
+            ASSERT_EQ(got.src1, want.src1) << bench << " " << s;
+            ASSERT_EQ(got.src2, want.src2) << bench << " " << s;
+            ASSERT_EQ(got.taken, want.taken) << bench << " " << s;
+            ASSERT_EQ(got.isCall, want.isCall) << bench << " " << s;
+            ASSERT_EQ(got.isReturn, want.isReturn) << bench << " " << s;
+            ASSERT_EQ(got.isCond, want.isCond) << bench << " " << s;
+        }
+    }
+}
+
 TEST(WrongPath, DeterministicForSamePcAndSalt)
 {
     const BenchProfile &p = benchProfile("gcc");
