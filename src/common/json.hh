@@ -11,10 +11,12 @@
 #ifndef DCRA_SMT_COMMON_JSON_HH
 #define DCRA_SMT_COMMON_JSON_HH
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -138,6 +140,25 @@ struct JsonValue
         return kind == Number
             ? std::strtoll(str.c_str(), nullptr, 10)
             : 0;
+    }
+
+    /**
+     * The value as a T, when it is a plain decimal integer that fits
+     * T: digits with no fraction, exponent or '+', and a '-' only for
+     * a signed T. Anything else (-1 for a u64, 1.5, 1e3, 2^64) returns
+     * false, where asU64() would quietly read it as another value.
+     */
+    template <typename T>
+    bool
+    toInteger(T &out) const
+    {
+        const char *end = str.data() + str.size();
+        T v{};
+        const auto [ptr, ec] = std::from_chars(str.data(), end, v);
+        if (kind != Number || ec != std::errc() || ptr != end)
+            return false;
+        out = v;
+        return true;
     }
 };
 

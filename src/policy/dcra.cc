@@ -15,18 +15,13 @@ DcraPolicy::onBind()
     // resource, so the cycle loop never runs the floating-point
     // formula. The tables are built from the formula and are
     // value-identical to it (asserted by the sharing-model tests).
-    // The equal-share tables serve threads denied borrowing (the
-    // DcraDeg extension).
     tables.clear();
-    equalTables.clear();
     for (int r = 0; r < NumResourceTypes; ++r) {
         const auto rt = static_cast<ResourceType>(r);
         const int total = ctx.cfg->resourceTotal(rt);
         tables.emplace_back(isIqResource(rt) ? params.iqSharingMode
                                              : params.regSharingMode,
                             total, ctx.cfg->numThreads);
-        equalTables.emplace_back(SharingFactorMode::Zero, total,
-                                 ctx.cfg->numThreads);
     }
 }
 
@@ -86,13 +81,8 @@ DcraPolicy::beginCycle(Cycle now)
             fastActive, slowActive);
 
         for (int t = 0; t < n; ++t) {
-            if (!slow[t] || !active[r][t])
-                continue;
-            const int myLimit = borrowAllowed(t)
-                ? limit[r]
-                : equalTables[static_cast<std::size_t>(r)].slowLimit(
-                      fastActive, slowActive);
-            if (ctx.tracker->occupancy(rt, t) > myLimit)
+            if (slow[t] && active[r][t] &&
+                ctx.tracker->occupancy(rt, t) > limit[r])
                 gatedMask[t] = true;
         }
     }

@@ -115,18 +115,6 @@ class DcraPolicy : public Policy
   protected:
     void onBind() override;
 
-    /**
-     * Extension hook: may thread t borrow beyond its equal share?
-     * The base policy always says yes; DcraDegPolicy (the paper's
-     * stated future work) revokes borrowing from degenerate threads
-     * that cannot convert extra resources into progress.
-     */
-    virtual bool borrowAllowed(ThreadID t) const
-    {
-        (void)t;
-        return true;
-    }
-
   private:
     /** Evaluate the activity classification for one (r, t). */
     bool computeActive(ResourceType r, ThreadID t, Cycle now) const;
@@ -134,8 +122,6 @@ class DcraPolicy : public Policy
     PolicyParams params;
     /** E_slow by (F_A, S_A), one table per resource, built at bind. */
     std::vector<SharingModelTable> tables;
-    /** Equal-share (c = 0) limits for borrow-denied threads. */
-    std::vector<SharingModelTable> equalTables;
 
     bool slow[maxThreads] = {};
     bool active[NumResourceTypes][maxThreads] = {};

@@ -6,7 +6,6 @@
 #include "alloc/registry.hh"
 #include "common/logging.hh"
 #include "policy/dcra.hh"
-#include "policy/dcra_deg.hh"
 #include "policy/dgate.hh"
 #include "policy/flush.hh"
 #include "policy/flushpp.hh"
@@ -67,8 +66,6 @@ policyRegistry()
         r.add("PDG", {PolicyKind::Pdg, makeWithParams<PdgPolicy>});
         r.add("SRA", {PolicyKind::Sra, makePlain<SraPolicy>});
         r.add("DCRA", {PolicyKind::Dcra, makeWithParams<DcraPolicy>});
-        r.add("DCRA-DEG",
-              {PolicyKind::DcraDeg, makeWithParams<DcraDegPolicy>});
         return r;
     }();
     return reg;

@@ -29,8 +29,7 @@ enum class PolicyKind {
     DataGating,
     Pdg,
     Sra,
-    Dcra,
-    DcraDeg
+    Dcra
 };
 
 /** Printable name matching the paper's spelling. */

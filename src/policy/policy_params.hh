@@ -46,17 +46,6 @@ struct PolicyParams
 
     /** @} */
 
-    /** @name DCRA-DEG (paper section 5.2 future work) */
-    /** @{ */
-
-    /** Cycle window over which degeneracy is evaluated. */
-    Cycle degWindowCycles = 8192;
-
-    /** Windowed IPC below which a mostly-slow thread is degenerate. */
-    double degIpcFloor = 0.08;
-
-    /** @} */
-
     /** @name STALL / FLUSH family (Tullsen & Brown) */
     /** @{ */
 

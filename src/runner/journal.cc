@@ -146,19 +146,19 @@ readJournal(const std::string &path, JournalReplay &out, bool &exists,
                 return false;
             }
             if (!spec || spec->kind != JsonValue::String || !jobs ||
-                jobs->kind != JsonValue::Number) {
+                !jobs->toInteger(out.jobCount)) {
                 err = "journal '" + path + "': malformed header";
                 return false;
             }
             out.specKey = spec->str;
-            out.jobCount = jobs->asU64();
             sawHeader = true;
             return true;
         }
         const JsonValue *job = doc.find("job");
         const JsonValue *key = doc.find("key");
         const JsonValue *summary = doc.find("summary");
-        if (!job || job->kind != JsonValue::Number || !key ||
+        std::uint64_t idx = 0;
+        if (!job || !job->toInteger(idx) || !key ||
             key->kind != JsonValue::String || !summary) {
             tornTail = true;
             return true;
@@ -168,8 +168,6 @@ readJournal(const std::string &path, JournalReplay &out, bool &exists,
             tornTail = true;
             return true;
         }
-        const std::size_t idx =
-            static_cast<std::size_t>(job->asU64());
         out.summaries[idx] = std::move(s);
         out.keys[idx] = key->str;
         return true;

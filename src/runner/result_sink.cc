@@ -120,9 +120,14 @@ CsvSink::render(const SweepResults &res) const
     const bool hmean = res.spec.computeHmean;
     std::string out =
         "workload,type,group,policy,config,num_threads,thread,bench,"
-        "ipc,single_ipc,committed,fetched,squashed,cond_branches,"
-        "mispredicts,flushes,l1d_accesses,l1d_misses,l2_accesses,"
-        "l2_misses,cycles,throughput,hmean\n";
+        "ipc,single_ipc,";
+    for (const ThreadCounterField &f : threadCounterFields) {
+        if (f.csv) {
+            out += f.csv;
+            out += ',';
+        }
+    }
+    out += "cycles,throughput,hmean\n";
     for (const JobResult &r : res.results) {
         const SimResult &raw = r.summary.raw;
         for (std::size_t t = 0; t < raw.threads.size(); ++t) {
@@ -148,13 +153,10 @@ CsvSink::render(const SweepResults &res) const
             if (hmean)
                 out += fmtDouble(r.summary.singleIpc[t]);
             out += ',';
-            out += fmtU64(tr.committed) + ',' + fmtU64(tr.fetched) +
-                ',' + fmtU64(tr.squashed) + ',' +
-                fmtU64(tr.condBranches) + ',' +
-                fmtU64(tr.mispredicts) + ',' + fmtU64(tr.flushes) +
-                ',' + fmtU64(tr.l1dAccesses) + ',' +
-                fmtU64(tr.l1dMisses) + ',' + fmtU64(tr.l2Accesses) +
-                ',' + fmtU64(tr.l2Misses) + ',';
+            for (const ThreadCounterField &f : threadCounterFields) {
+                if (f.csv)
+                    out += fmtU64(tr.*f.member) + ',';
+            }
             out += fmtU64(raw.cycles);
             out += ',';
             out += fmtDouble(r.summary.throughput);
@@ -288,18 +290,11 @@ JsonSink::render(const SweepResults &res) const
             out += ", \"singleIpc\": ";
             out += hmean ? fmtDouble(r.summary.singleIpc[t])
                          : "null";
-            out += ", \"committed\": " + fmtU64(tr.committed);
-            out += ", \"fetched\": " + fmtU64(tr.fetched);
-            out += ", \"fetchedWrongPath\": " +
-                fmtU64(tr.fetchedWrongPath);
-            out += ", \"squashed\": " + fmtU64(tr.squashed);
-            out += ", \"condBranches\": " + fmtU64(tr.condBranches);
-            out += ", \"mispredicts\": " + fmtU64(tr.mispredicts);
-            out += ", \"flushes\": " + fmtU64(tr.flushes);
-            out += ", \"l1dAccesses\": " + fmtU64(tr.l1dAccesses);
-            out += ", \"l1dMisses\": " + fmtU64(tr.l1dMisses);
-            out += ", \"l2Accesses\": " + fmtU64(tr.l2Accesses);
-            out += ", \"l2Misses\": " + fmtU64(tr.l2Misses);
+            for (const ThreadCounterField &f : threadCounterFields) {
+                out += ", \"";
+                out += f.key;
+                out += "\": " + fmtU64(tr.*f.member);
+            }
             out += "}";
             out += t + 1 < raw.threads.size() ? ",\n" : "\n";
         }

@@ -55,9 +55,10 @@ u64ArrayFromJson(const JsonValue *v, std::vector<std::uint64_t> &out)
         return false;
     out.clear();
     for (const JsonValue &e : v->arr) {
-        if (e.kind != JsonValue::Number)
+        std::uint64_t x = 0;
+        if (!e.toInteger(x))
             return false;
-        out.push_back(e.asU64());
+        out.push_back(x);
     }
     return true;
 }
@@ -72,14 +73,12 @@ numberField(const JsonValue &obj, const char *key, double &out)
     return true;
 }
 
+template <typename T>
 bool
-u64Field(const JsonValue &obj, const char *key, std::uint64_t &out)
+intField(const JsonValue &obj, const char *key, T &out)
 {
     const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Number)
-        return false;
-    out = v->asU64();
-    return true;
+    return v && v->toInteger(out);
 }
 
 } // anonymous namespace
@@ -102,19 +101,14 @@ runSummaryToJson(const RunSummary &s)
         if (t)
             out += ",";
         out += "{\"bench\":\"" + jsonEscape(tr.bench) + "\"";
-        out += ",\"committed\":" + fmtU64(tr.committed);
-        out += ",\"ipc\":" + fmtDoubleExact(tr.ipc);
-        out += ",\"fetched\":" + fmtU64(tr.fetched);
-        out += ",\"fetchedWrongPath\":" +
-            fmtU64(tr.fetchedWrongPath);
-        out += ",\"squashed\":" + fmtU64(tr.squashed);
-        out += ",\"condBranches\":" + fmtU64(tr.condBranches);
-        out += ",\"mispredicts\":" + fmtU64(tr.mispredicts);
-        out += ",\"flushes\":" + fmtU64(tr.flushes);
-        out += ",\"l1dAccesses\":" + fmtU64(tr.l1dAccesses);
-        out += ",\"l1dMisses\":" + fmtU64(tr.l1dMisses);
-        out += ",\"l2Accesses\":" + fmtU64(tr.l2Accesses);
-        out += ",\"l2Misses\":" + fmtU64(tr.l2Misses);
+        for (const ThreadCounterField &f : threadCounterFields) {
+            out += ",\"";
+            out += f.key;
+            out += "\":" + fmtU64(tr.*f.member);
+            // ipc has always followed the first counter here.
+            if (&f == threadCounterFields)
+                out += ",\"ipc\":" + fmtDoubleExact(tr.ipc);
+        }
         out += "}";
     }
     out += "]";
@@ -156,17 +150,17 @@ runSummaryFromJson(const JsonValue &v, RunSummary &out)
         !numberField(v, "hmean", out.hmean) ||
         !doubleArrayFromJson(v.find("multiIpc"), out.multiIpc) ||
         !doubleArrayFromJson(v.find("singleIpc"), out.singleIpc) ||
-        !u64Field(v, "cycles", r.cycles) ||
+        !intField(v, "cycles", r.cycles) ||
         !u64ArrayFromJson(v.find("slowPhaseCycles"),
                           r.slowPhaseCycles) ||
         !numberField(v, "mlpBusyMean", r.mlpBusyMean) ||
         !u64ArrayFromJson(v.find("coreCommitHashes"),
                           r.coreCommitHashes) ||
-        !u64Field(v, "migrations", r.migrations) ||
-        !u64Field(v, "allocEpochs", r.allocEpochs) ||
-        !u64Field(v, "llcAccesses", r.llcAccesses) ||
-        !u64Field(v, "llcMisses", r.llcMisses) ||
-        !u64Field(v, "llcShareReassignments",
+        !intField(v, "migrations", r.migrations) ||
+        !intField(v, "allocEpochs", r.allocEpochs) ||
+        !intField(v, "llcAccesses", r.llcAccesses) ||
+        !intField(v, "llcMisses", r.llcMisses) ||
+        !intField(v, "llcShareReassignments",
                   r.llcShareReassignments)) {
         return false;
     }
@@ -187,22 +181,12 @@ runSummaryFromJson(const JsonValue &v, RunSummary &out)
         if (!bench || bench->kind != JsonValue::String)
             return false;
         tr.bench = bench->str;
-        double ipc = 0.0;
-        if (!u64Field(tv, "committed", tr.committed) ||
-            !numberField(tv, "ipc", ipc) ||
-            !u64Field(tv, "fetched", tr.fetched) ||
-            !u64Field(tv, "fetchedWrongPath", tr.fetchedWrongPath) ||
-            !u64Field(tv, "squashed", tr.squashed) ||
-            !u64Field(tv, "condBranches", tr.condBranches) ||
-            !u64Field(tv, "mispredicts", tr.mispredicts) ||
-            !u64Field(tv, "flushes", tr.flushes) ||
-            !u64Field(tv, "l1dAccesses", tr.l1dAccesses) ||
-            !u64Field(tv, "l1dMisses", tr.l1dMisses) ||
-            !u64Field(tv, "l2Accesses", tr.l2Accesses) ||
-            !u64Field(tv, "l2Misses", tr.l2Misses)) {
+        if (!numberField(tv, "ipc", tr.ipc))
             return false;
+        for (const ThreadCounterField &f : threadCounterFields) {
+            if (!intField(tv, f.key, tr.*f.member))
+                return false;
         }
-        tr.ipc = ipc;
         r.threads.push_back(std::move(tr));
     }
 
@@ -214,17 +198,13 @@ runSummaryFromJson(const JsonValue &v, RunSummary &out)
         if (cv.kind != JsonValue::Object)
             return false;
         LlcCoreStats cs;
-        const JsonValue *share = cv.find("mshrShare");
-        const JsonValue *ways = cv.find("ways");
-        if (!u64Field(cv, "accesses", cs.accesses) ||
-            !u64Field(cv, "misses", cs.misses) || !share ||
-            share->kind != JsonValue::Number || !ways ||
-            ways->kind != JsonValue::Number ||
-            !u64Field(cv, "linesOwned", cs.linesOwned)) {
+        if (!intField(cv, "accesses", cs.accesses) ||
+            !intField(cv, "misses", cs.misses) ||
+            !intField(cv, "mshrShare", cs.mshrShare) ||
+            !intField(cv, "ways", cs.ways) ||
+            !intField(cv, "linesOwned", cs.linesOwned)) {
             return false;
         }
-        cs.mshrShare = static_cast<int>(share->asI64());
-        cs.ways = static_cast<int>(ways->asI64());
         r.llcPerCore.push_back(cs);
     }
     return true;

@@ -10,6 +10,7 @@
 #define DCRA_SMT_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -35,13 +36,18 @@ struct SimConfig
     std::uint64_t seed = 0x5eed;
 };
 
-/** Per-thread outcome of a run. */
-struct ThreadResult
+/**
+ * A thread's event counters over the measured interval, summed over
+ * every core it ran on. This struct and threadCounterFields below are
+ * the one list of them: the migration totals (ChipSimulator), the
+ * journal, the sweep sinks and the test oracles all iterate the
+ * table. A new counter is a member, a row, and the line in
+ * ChipSimulator::readCtx that reads it from the machine.
+ */
+struct ThreadCounters
 {
-    std::string bench;
     std::uint64_t committed = 0;
-    double ipc = 0.0;
-    std::uint64_t fetched = 0;
+    std::uint64_t fetched = 0; //!< including the wrong path
     std::uint64_t fetchedWrongPath = 0;
     std::uint64_t squashed = 0;
     std::uint64_t condBranches = 0;
@@ -49,8 +55,42 @@ struct ThreadResult
     std::uint64_t flushes = 0;
     std::uint64_t l1dAccesses = 0;
     std::uint64_t l1dMisses = 0;
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t l2Misses = 0;
+    std::uint64_t l2Accesses = 0; //!< data side only
+    std::uint64_t l2Misses = 0;   //!< data side only
+};
+
+/** One row of the counter table. */
+struct ThreadCounterField
+{
+    const char *key; //!< JSON key, in the journal and the sweep JSON
+    const char *csv; //!< CSV column; nullptr = not in the CSV
+    std::uint64_t ThreadCounters::*member;
+};
+
+/** Every ThreadCounters member once, in output order. */
+inline constexpr ThreadCounterField threadCounterFields[] = {
+    {"committed", "committed", &ThreadCounters::committed},
+    {"fetched", "fetched", &ThreadCounters::fetched},
+    {"fetchedWrongPath", nullptr, &ThreadCounters::fetchedWrongPath},
+    {"squashed", "squashed", &ThreadCounters::squashed},
+    {"condBranches", "cond_branches", &ThreadCounters::condBranches},
+    {"mispredicts", "mispredicts", &ThreadCounters::mispredicts},
+    {"flushes", "flushes", &ThreadCounters::flushes},
+    {"l1dAccesses", "l1d_accesses", &ThreadCounters::l1dAccesses},
+    {"l1dMisses", "l1d_misses", &ThreadCounters::l1dMisses},
+    {"l2Accesses", "l2_accesses", &ThreadCounters::l2Accesses},
+    {"l2Misses", "l2_misses", &ThreadCounters::l2Misses},
+};
+
+static_assert(sizeof(ThreadCounters) ==
+                  std::size(threadCounterFields) * sizeof(std::uint64_t),
+              "every ThreadCounters member needs a threadCounterFields row");
+
+/** Per-thread outcome of a run. */
+struct ThreadResult : ThreadCounters
+{
+    std::string bench;
+    double ipc = 0.0;
 
     /** Data-side L2 miss rate in percent (paper Table 3 metric). */
     double

@@ -14,40 +14,19 @@
 
 namespace smt {
 
-ChipSimulator::CtxTotals
-ChipSimulator::CtxTotals::operator-(const CtxTotals &o) const
+namespace {
+
+/** @p base plus what each counter gained from @p then to @p now. */
+ThreadCounters
+plusGain(ThreadCounters base, const ThreadCounters &now,
+         const ThreadCounters &then)
 {
-    CtxTotals r;
-    r.committed = committed - o.committed;
-    r.fetched = fetched - o.fetched;
-    r.fetchedWrongPath = fetchedWrongPath - o.fetchedWrongPath;
-    r.squashed = squashed - o.squashed;
-    r.condBranches = condBranches - o.condBranches;
-    r.mispredicts = mispredicts - o.mispredicts;
-    r.flushes = flushes - o.flushes;
-    r.l1dAccesses = l1dAccesses - o.l1dAccesses;
-    r.l1dMisses = l1dMisses - o.l1dMisses;
-    r.l2Accesses = l2Accesses - o.l2Accesses;
-    r.l2Misses = l2Misses - o.l2Misses;
-    return r;
+    for (const ThreadCounterField &f : threadCounterFields)
+        base.*f.member += now.*f.member - then.*f.member;
+    return base;
 }
 
-ChipSimulator::CtxTotals &
-ChipSimulator::CtxTotals::operator+=(const CtxTotals &o)
-{
-    committed += o.committed;
-    fetched += o.fetched;
-    fetchedWrongPath += o.fetchedWrongPath;
-    squashed += o.squashed;
-    condBranches += o.condBranches;
-    mispredicts += o.mispredicts;
-    flushes += o.flushes;
-    l1dAccesses += o.l1dAccesses;
-    l1dMisses += o.l1dMisses;
-    l2Accesses += o.l2Accesses;
-    l2Misses += o.l2Misses;
-    return *this;
-}
+} // anonymous namespace
 
 ChipSimulator::ChipSimulator(
     const SimConfig &cfg_, const std::vector<std::string> &benches,
@@ -344,12 +323,12 @@ ChipSimulator::prewarmChip()
     }
 }
 
-ChipSimulator::CtxTotals
+ThreadCounters
 ChipSimulator::readCtx(int core, int ctx) const
 {
     const PipelineStats &ps = cores[core].pipe->stats();
     const MemorySystem &mem = *cores[core].mem;
-    CtxTotals t;
+    ThreadCounters t;
     t.committed = ps.committed[ctx];
     t.fetched = ps.fetched[ctx];
     t.fetchedWrongPath = ps.fetchedWrongPath[ctx];
@@ -364,13 +343,11 @@ ChipSimulator::readCtx(int core, int ctx) const
     return t;
 }
 
-ChipSimulator::CtxTotals
+ThreadCounters
 ChipSimulator::totalsOf(int thread) const
 {
     const ThreadHome &h = homes[thread];
-    CtxTotals t = h.accum;
-    t += readCtx(h.core, h.ctx) - h.attachAt;
-    return t;
+    return plusGain(h.accum, readCtx(h.core, h.ctx), h.attachAt);
 }
 
 std::uint64_t
@@ -641,7 +618,8 @@ ChipSimulator::resetAllStats()
         h.accum = {};
         h.attachAt = {};
     }
-    std::fill(intervalBase.begin(), intervalBase.end(), CtxTotals{});
+    std::fill(intervalBase.begin(), intervalBase.end(),
+              ThreadCounters{});
     intervalStart = cycle;
 }
 
@@ -662,8 +640,8 @@ ChipSimulator::runEpoch()
     std::vector<ThreadPerfSample> metrics(
         static_cast<std::size_t>(nThreads));
     for (int s = 0; s < nThreads; ++s) {
-        const CtxTotals now = totalsOf(s);
-        const CtxTotals iv = now - intervalBase[s];
+        const ThreadCounters now = totalsOf(s);
+        const ThreadCounters iv = plusGain({}, now, intervalBase[s]);
         ThreadPerfSample &m = metrics[s];
         m.ipc = static_cast<double>(iv.committed) /
             static_cast<double>(dt);
@@ -753,7 +731,7 @@ ChipSimulator::completeMigration()
         if (pendingPlacement[s] == coreOf[s])
             continue;
         ThreadHome &h = homes[s];
-        h.accum += readCtx(h.core, h.ctx) - h.attachAt;
+        h.accum = totalsOf(s);
         cores[h.core].pipe->detachThread(h.ctx);
     }
 
@@ -926,24 +904,13 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
     res.slowPhaseCycles = std::move(slowCycles);
     res.mlpBusyMean = mlp.meanNonZero();
     for (int s = 0; s < nThreads; ++s) {
-        const CtxTotals t = totalsOf(s);
         ThreadResult tr;
+        static_cast<ThreadCounters &>(tr) = totalsOf(s);
         tr.bench = benchNames[s];
-        tr.committed = t.committed;
         tr.ipc = res.cycles
-            ? static_cast<double>(t.committed) /
+            ? static_cast<double>(committedOf(s)) /
                 static_cast<double>(res.cycles)
             : 0.0;
-        tr.fetched = t.fetched;
-        tr.fetchedWrongPath = t.fetchedWrongPath;
-        tr.squashed = t.squashed;
-        tr.condBranches = t.condBranches;
-        tr.mispredicts = t.mispredicts;
-        tr.flushes = t.flushes;
-        tr.l1dAccesses = t.l1dAccesses;
-        tr.l1dMisses = t.l1dMisses;
-        tr.l2Accesses = t.l2Accesses;
-        tr.l2Misses = t.l2Misses;
         res.threads.push_back(std::move(tr));
     }
 

@@ -169,33 +169,13 @@ class ChipSimulator
         std::unique_ptr<Pipeline> pipe;
     };
 
-    /** Cumulative per-(core,context) counters a software thread
-     *  accrues between attach and detach. */
-    struct CtxTotals
-    {
-        std::uint64_t committed = 0;
-        std::uint64_t fetched = 0;
-        std::uint64_t fetchedWrongPath = 0;
-        std::uint64_t squashed = 0;
-        std::uint64_t condBranches = 0;
-        std::uint64_t mispredicts = 0;
-        std::uint64_t flushes = 0;
-        std::uint64_t l1dAccesses = 0;
-        std::uint64_t l1dMisses = 0;
-        std::uint64_t l2Accesses = 0;
-        std::uint64_t l2Misses = 0;
-
-        CtxTotals operator-(const CtxTotals &o) const;
-        CtxTotals &operator+=(const CtxTotals &o);
-    };
-
     /** Where a software thread lives and what it accrued. */
     struct ThreadHome
     {
         int core = 0;
         int ctx = 0;
-        CtxTotals accum;    //!< totals from previous homes
-        CtxTotals attachAt; //!< current home's counters at attach
+        ThreadCounters accum;    //!< totals from previous homes
+        ThreadCounters attachAt; //!< current home's counters at attach
     };
 
     void buildChip(const PolicyMaker &policyMaker);
@@ -245,11 +225,14 @@ class ChipSimulator
     bool sameRecords(Cycle a, Cycle b);
     /** @} */
 
-    CtxTotals readCtx(int core, int ctx) const;
-    CtxTotals totalsOf(int thread) const;
+    /** The one mapping from a context's PipelineStats and
+     *  MemorySystem counters to the reported ThreadCounters. */
+    ThreadCounters readCtx(int core, int ctx) const;
+    /** A software thread's counters summed over all its homes. */
+    ThreadCounters totalsOf(int thread) const;
 
     /** Just the committed count — the run loop polls this for every
-     *  thread every quantum, so it must not assemble all 11 counters
+     *  thread every quantum, so it must not assemble every counter
      *  the way totalsOf() does. */
     std::uint64_t
     committedOf(int thread) const
@@ -288,7 +271,7 @@ class ChipSimulator
     /** @{ */
     std::uint64_t epoch = 0;
     Cycle nextEpochAt = 0;
-    std::vector<CtxTotals> intervalBase; //!< totals at last epoch
+    std::vector<ThreadCounters> intervalBase; //!< totals at last epoch
     Cycle intervalStart = 0;
     bool migrating = false;
     Cycle drainDeadline = 0;

@@ -15,6 +15,7 @@
 #include "sim/simulator.hh"
 #include "soc/chip.hh"
 #include "support/dies_with_abort.hh"
+#include "support/same_result.hh"
 #include "trace/bench_profile.hh"
 #include "trace/generator.hh"
 
@@ -22,6 +23,7 @@ namespace {
 
 using namespace smt;
 using smt::test::diesWithAbort;
+using smt::test::expectSameResult;
 
 TEST(SmtConfig, RenameRegArithmeticMatchesPaper)
 {
@@ -267,12 +269,7 @@ TEST(Pipeline, DeterministicRuns)
     ChipSimulator b(smallConfig(), {"gzip", "twolf"}, PolicyKind::Dcra);
     const SimResult ra = a.run(4000, 1'000'000);
     const SimResult rb = b.run(4000, 1'000'000);
-    EXPECT_EQ(ra.cycles, rb.cycles);
-    for (std::size_t i = 0; i < ra.threads.size(); ++i) {
-        EXPECT_EQ(ra.threads[i].committed, rb.threads[i].committed);
-        EXPECT_EQ(ra.threads[i].fetched, rb.threads[i].fetched);
-        EXPECT_EQ(ra.threads[i].l1dMisses, rb.threads[i].l1dMisses);
-    }
+    expectSameResult(ra, rb, "gzip,twolf DCRA");
 }
 
 TEST(Pipeline, MispredictsAreDetectedAndRecovered)

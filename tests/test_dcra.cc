@@ -410,95 +410,6 @@ TEST(DcraEndToEnd, ImprovesMixOverIcount)
     EXPECT_GT(rd.threads[1].ipc, ri.threads[1].ipc * 0.9);
 }
 
-} // anonymous namespace
-
-// ---------------- DCRA-DEG (paper section 5.2 future work) -------
-
-#include "policy/dcra_deg.hh"
-
-namespace {
-using namespace smt;
-
-TEST(DcraDeg, FactoryRoundTrip)
-{
-    EXPECT_EQ(parsePolicyKind("DCRA-DEG"), PolicyKind::DcraDeg);
-    PolicyParams pp;
-    auto p = makePolicy(PolicyKind::DcraDeg, pp);
-    EXPECT_STREQ(p->name(), "DCRA-DEG");
-}
-
-TEST(DcraDeg, DegenerateThreadLosesBorrowingOnly)
-{
-    DcraHarness h;
-    PolicyParams pp;
-    pp.degWindowCycles = 100;
-    pp.degIpcFloor = 0.5;
-    DcraDegPolicy p(pp);
-    p.bind(h.ctx);
-
-    // Thread 0 slow the whole window with no commits: degenerate.
-    Cycle ready = h.makeSlow(0, 1);
-    for (Cycle c = 1; c <= 100; ++c) {
-        if (c >= ready)
-            ready = h.makeSlow(0, c); // keep the miss pending
-        p.beginCycle(c);
-    }
-    p.beginCycle(101); // window rolls over
-    EXPECT_TRUE(p.isDegenerate(0));
-    EXPECT_FALSE(p.isDegenerate(1));
-
-    // Equal share still allowed (not gated below it)...
-    for (int i = 0; i < 30; ++i)
-        h.tracker.allocate(ResIqInt, 0, 102);
-    p.beginCycle(103);
-    EXPECT_FALSE(p.isGated(0)) << "30 <= equal share 40";
-    // ...but the borrowed region (41..47) now gates.
-    for (int i = 0; i < 12; ++i)
-        h.tracker.allocate(ResIqInt, 0, 103);
-    p.beginCycle(104);
-    EXPECT_TRUE(p.isGated(0)) << "42 > equal share 40";
-}
-
-TEST(DcraDeg, ProgressRehabilitates)
-{
-    DcraHarness h;
-    PolicyParams pp;
-    pp.degWindowCycles = 100;
-    pp.degIpcFloor = 0.5;
-    DcraDegPolicy p(pp);
-    p.bind(h.ctx);
-
-    Cycle ready = h.makeSlow(0, 1);
-    for (Cycle c = 1; c <= 100; ++c) {
-        if (c >= ready)
-            ready = h.makeSlow(0, c);
-        p.beginCycle(c);
-    }
-    p.beginCycle(101);
-    ASSERT_TRUE(p.isDegenerate(0));
-
-    // A productive window (commits above the floor) clears the flag.
-    for (Cycle c = 102; c <= 201; ++c) {
-        h.tracker.commitInc(0);
-        p.beginCycle(c);
-    }
-    p.beginCycle(202);
-    EXPECT_FALSE(p.isDegenerate(0));
-}
-
-TEST(DcraDeg, EndToEndRunsAndKeepsThroughput)
-{
-    SimConfig cfg;
-    cfg.seed = 29;
-    ChipSimulator dcra(cfg, {"eon", "mcf"}, PolicyKind::Dcra);
-    ChipSimulator deg(cfg, {"eon", "mcf"}, PolicyKind::DcraDeg);
-    const SimResult rd = dcra.run(20000, 4'000'000, 4000);
-    const SimResult rg = deg.run(20000, 4'000'000, 4000);
-    EXPECT_GT(rg.throughput(), rd.throughput() * 0.9);
-    EXPECT_GT(rg.threads[1].committed, 200u)
-        << "the degenerate thread keeps its equal share";
-}
-
 TEST(SimulatorCustomPolicy, AcceptsUserPolicy)
 {
     // Minimal user-defined policy via the public constructor.

@@ -4,8 +4,7 @@
  * runs a short end-to-end two-thread simulation of the paper's
  * machine (one SMT core) under one policy with a fixed seed, and
  * pins every field of the result to checked-in golden values: cycles,
- * every per-thread counter (commit, fetch and wrong-path fetch,
- * squash, branch, mispredict, flush, L1D/L2 traffic), the slow-phase
+ * every per-thread counter of threadCounterFields, the slow-phase
  * histogram and the MLP mean, the last compared exactly. Any
  * behavioural change to the pipeline, the memory system, the trace
  * generator or a policy shows up here as an exact-value diff.
@@ -30,30 +29,17 @@
 #include "common/json.hh"
 #include "sim/simulator.hh"
 #include "soc/chip.hh"
+#include "support/same_result.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::expectSameCounters;
+using smt::test::expectSameResult;
 
 /** The fixed budget every golden row runs. */
 constexpr std::uint64_t goldenCommits = 3000;
 constexpr Cycle goldenMaxCycles = 2'000'000;
-
-/** One thread's pinned counters, in ThreadResult's field order. */
-struct GoldenThread
-{
-    std::uint64_t committed;
-    std::uint64_t fetched;
-    std::uint64_t fetchedWrongPath;
-    std::uint64_t squashed;
-    std::uint64_t condBranches;
-    std::uint64_t mispredicts;
-    std::uint64_t flushes;
-    std::uint64_t l1dAccesses;
-    std::uint64_t l1dMisses;
-    std::uint64_t l2Accesses;
-    std::uint64_t l2Misses;
-};
 
 struct GoldenRow
 {
@@ -61,7 +47,8 @@ struct GoldenRow
     const char *benches[2];
     std::uint64_t warmup;
     Cycle cycles;
-    GoldenThread threads[2];
+    /** Each thread's counters, in threadCounterFields order. */
+    ThreadCounters threads[2];
     /** Cycles with n threads in a slow phase, n = 0..2. */
     std::uint64_t slowPhaseCycles[3];
     double mlpBusyMean;
@@ -113,17 +100,6 @@ goldenRows()
     return rows;
 }
 
-/** The pinned counters of a ThreadResult or a GoldenThread. */
-template <class Thread>
-std::vector<std::uint64_t>
-counters(const Thread &t)
-{
-    return {t.committed,  t.fetched,      t.fetchedWrongPath,
-            t.squashed,   t.condBranches, t.mispredicts,
-            t.flushes,    t.l1dAccesses,  t.l1dMisses,
-            t.l2Accesses, t.l2Misses};
-}
-
 std::string
 rowName(const GoldenRow &row)
 {
@@ -141,8 +117,8 @@ TEST(GoldenStats, MatchesCheckedInValues)
         ASSERT_EQ(r.threads.size(), 2u) << name;
         for (int t = 0; t < 2; ++t) {
             EXPECT_EQ(r.threads[t].bench, row.benches[t]) << name;
-            EXPECT_EQ(counters(r.threads[t]), counters(row.threads[t]))
-                << name << " thread " << t;
+            expectSameCounters(r.threads[t], row.threads[t],
+                               name + " thread " + std::to_string(t));
             // IPC is derived from the pinned integers, so it only
             // needs a consistency check, not its own golden.
             EXPECT_DOUBLE_EQ(
@@ -171,17 +147,7 @@ TEST(GoldenStats, BitDeterministicAcrossRuns)
     for (const GoldenRow &row : goldenRows()) {
         const SimResult a = runGolden(row);
         const SimResult b = runGolden(row);
-        const std::string name = rowName(row);
-        EXPECT_EQ(a.cycles, b.cycles) << name;
-        EXPECT_TRUE(a.mlpBusyMean == b.mlpBusyMean) << name;
-        ASSERT_EQ(a.threads.size(), b.threads.size()) << name;
-        for (std::size_t t = 0; t < a.threads.size(); ++t) {
-            EXPECT_EQ(counters(a.threads[t]), counters(b.threads[t]))
-                << name << " thread " << t;
-            // Doubles must be bit-identical, not merely close.
-            EXPECT_TRUE(a.threads[t].ipc == b.threads[t].ipc) << name;
-        }
-        EXPECT_EQ(a.slowPhaseCycles, b.slowPhaseCycles) << name;
+        expectSameResult(a, b, rowName(row));
     }
 }
 
@@ -194,6 +160,16 @@ printList(const std::vector<std::uint64_t> &v)
         std::printf("%s%llu", i ? ", " : "",
                     static_cast<unsigned long long>(v[i]));
     std::printf("}");
+}
+
+/** @p t's counters in threadCounterFields order, a golden row's. */
+std::vector<std::uint64_t>
+counterList(const ThreadCounters &t)
+{
+    std::vector<std::uint64_t> v;
+    for (const ThreadCounterField &f : threadCounterFields)
+        v.push_back(t.*f.member);
+    return v;
 }
 
 TEST(GoldenStats, PrintCurrent)
@@ -220,9 +196,9 @@ TEST(GoldenStats, PrintCurrent)
                     row.benches[0], row.benches[1],
                     static_cast<unsigned long long>(row.warmup),
                     static_cast<unsigned long long>(r.cycles));
-        printList(counters(r.threads[0]));
+        printList(counterList(r.threads[0]));
         std::printf(",\n          ");
-        printList(counters(r.threads[1]));
+        printList(counterList(r.threads[1]));
         std::printf("},\n         ");
         printList(r.slowPhaseCycles);
         // fmtDoubleExact round-trips every double exactly.

@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyKind::Stall, PolicyKind::Flush,
                       PolicyKind::FlushPp, PolicyKind::DataGating,
                       PolicyKind::Pdg, PolicyKind::Sra,
-                      PolicyKind::Dcra, PolicyKind::DcraDeg),
+                      PolicyKind::Dcra),
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         std::string name = policyKindName(info.param);
         for (auto &c : name) {
@@ -194,7 +194,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyKind::Stall, PolicyKind::Flush,
                       PolicyKind::FlushPp, PolicyKind::DataGating,
                       PolicyKind::Pdg, PolicyKind::Sra,
-                      PolicyKind::Dcra, PolicyKind::DcraDeg),
+                      PolicyKind::Dcra),
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         std::string name = policyKindName(info.param);
         for (auto &c : name) {

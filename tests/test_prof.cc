@@ -24,10 +24,12 @@
 #include "prof/prof_report.hh"
 #include "sim/simulator.hh"
 #include "soc/chip.hh"
+#include "support/same_result.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::expectSameResult;
 
 /** Split NDJSON text into its (non-empty) lines. */
 std::vector<std::string>
@@ -269,12 +271,7 @@ TEST(ProfSim, AttachingAProfilerPerturbsNothing)
     timed.setHostProfiler(&prof);
     const SimResult b = timed.run(3000, 2'000'000);
 
-    EXPECT_EQ(a.cycles, b.cycles);
-    ASSERT_EQ(a.threads.size(), b.threads.size());
-    for (std::size_t t = 0; t < a.threads.size(); ++t) {
-        EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
-        EXPECT_DOUBLE_EQ(a.threads[t].ipc, b.threads[t].ipc);
-    }
+    expectSameResult(a, b, "gzip,mcf DCRA");
     // The profiler timed the core's tick and every pipeline stage on
     // exactly the sampled cycles (1 in 16) the core ticked; the chip
     // counts the sampled cycles it skipped instead, and together they
@@ -325,11 +322,7 @@ TEST(ProfSim, ChipProfilerPerturbsNothingAndRecordsWavefront)
     timed.setHostProfiler(&prof);
     const SimResult b = timed.run(3000, 2'000'000);
 
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes);
-    for (std::size_t t = 0; t < a.threads.size(); ++t)
-        EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
+    expectSameResult(a, b, "2-core chip-dcra, 2 workers");
 
     // With two tick workers the wavefront stats get recorded: one
     // wave-config line plus one wavefront line per core, and every

@@ -11,7 +11,9 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -35,10 +37,12 @@
 #include "runner/sweep_spec.hh"
 #include "sim/metrics.hh"
 #include "soc/chip.hh"
+#include "support/same_result.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::expectSameResult;
 
 // ---------------------------------------------------------------
 // SweepSpec expansion
@@ -522,39 +526,61 @@ TEST(RunSummaryJson, RoundTripIsExact)
     EXPECT_EQ(back.hmean, s.hmean);
     EXPECT_EQ(back.multiIpc, s.multiIpc);
     EXPECT_EQ(back.singleIpc, s.singleIpc);
-    EXPECT_EQ(back.raw.cycles, s.raw.cycles);
-    EXPECT_EQ(back.raw.slowPhaseCycles, s.raw.slowPhaseCycles);
-    EXPECT_EQ(back.raw.mlpBusyMean, s.raw.mlpBusyMean);
-    EXPECT_EQ(back.raw.coreCommitHashes, s.raw.coreCommitHashes);
-    EXPECT_EQ(back.raw.migrations, s.raw.migrations);
-    EXPECT_EQ(back.raw.llcAccesses, s.raw.llcAccesses);
-    EXPECT_EQ(back.raw.llcMisses, s.raw.llcMisses);
-    EXPECT_EQ(back.raw.llcArbiter, s.raw.llcArbiter);
-    EXPECT_EQ(back.raw.llcShareReassignments,
-              s.raw.llcShareReassignments);
-    ASSERT_EQ(back.raw.threads.size(), s.raw.threads.size());
-    for (std::size_t t = 0; t < s.raw.threads.size(); ++t) {
-        EXPECT_EQ(back.raw.threads[t].bench, s.raw.threads[t].bench);
-        EXPECT_EQ(back.raw.threads[t].ipc, s.raw.threads[t].ipc);
-        EXPECT_EQ(back.raw.threads[t].committed,
-                  s.raw.threads[t].committed);
-        EXPECT_EQ(back.raw.threads[t].l2Misses,
-                  s.raw.threads[t].l2Misses);
-    }
-    ASSERT_EQ(back.raw.llcPerCore.size(), s.raw.llcPerCore.size());
-    for (std::size_t c = 0; c < s.raw.llcPerCore.size(); ++c) {
-        EXPECT_EQ(back.raw.llcPerCore[c].accesses,
-                  s.raw.llcPerCore[c].accesses);
-        EXPECT_EQ(back.raw.llcPerCore[c].mshrShare,
-                  s.raw.llcPerCore[c].mshrShare);
-        EXPECT_EQ(back.raw.llcPerCore[c].ways,
-                  s.raw.llcPerCore[c].ways);
-        EXPECT_EQ(back.raw.llcPerCore[c].linesOwned,
-                  s.raw.llcPerCore[c].linesOwned);
-    }
+    expectSameResult(back.raw, s.raw, "2-core DCRA");
     // the defining property: the replayed summary re-renders the
     // exact same record bytes
     EXPECT_EQ(runSummaryToJson(back), runSummaryToJson(s));
+}
+
+/**
+ * @p json with the value of its first @p key member replaced by
+ * @p token, or with the member removed when @p token is null.
+ */
+std::string
+withMember(std::string json, const char *key, const char *token)
+{
+    const std::string member = std::string(",\"") + key + "\":";
+    const std::size_t at = json.find(member);
+    if (at == std::string::npos)
+        return json;
+    const std::size_t value = at + member.size();
+    const std::size_t end = json.find_first_of(",}", value);
+    if (token)
+        json.replace(value, end - value, token);
+    else
+        json.erase(at, end - at);
+    return json;
+}
+
+TEST(RunSummaryJson, EveryCounterIsAPlainU64)
+{
+    // A corrupt journal counter must fail the decode, never turn into
+    // another value: strtoull would read -1 as 2^64 - 1 and 1.5 as 1.
+    RunSummary s;
+    s.raw.threads.resize(1);
+    s.raw.threads[0].bench = "gzip";
+    const std::string good = runSummaryToJson(s);
+    const char *const bad[] = {nullptr, "\"7\"", "-1", "1.5", "1e3",
+                               "18446744073709551616"};
+    for (const ThreadCounterField &f : threadCounterFields) {
+        JsonValue doc;
+        RunSummary back;
+        ASSERT_TRUE(parseJson(withMember(good, f.key, "7"), doc));
+        ASSERT_TRUE(runSummaryFromJson(doc, back)) << f.key;
+        EXPECT_EQ(back.raw.threads[0].*f.member, 7u) << f.key;
+
+        for (const char *token : bad) {
+            const std::string text = withMember(good, f.key, token);
+            ASSERT_TRUE(parseJson(text, doc)) << text;
+            EXPECT_FALSE(runSummaryFromJson(doc, back)) << text;
+        }
+
+        RunSummary max = s;
+        max.raw.threads[0].*f.member = UINT64_MAX;
+        ASSERT_TRUE(parseJson(runSummaryToJson(max), doc));
+        ASSERT_TRUE(runSummaryFromJson(doc, back)) << f.key;
+        expectSameResult(back.raw, max.raw, f.key);
+    }
 }
 
 TEST(Journal, WriteReadRoundTripAndTornTail)
@@ -599,6 +625,45 @@ TEST(Journal, WriteReadRoundTripAndTornTail)
     std::remove(path.c_str());
     ASSERT_TRUE(readJournal(path, replay, exists, err));
     EXPECT_FALSE(exists);
+}
+
+TEST(Journal, ACorruptCounterIsATornRecord)
+{
+    // A record whose counter is not a plain u64 takes the torn-record
+    // path: dropped as the last record, an error before another one.
+    const std::string path = "test_runner_journal_corrupt.ndjson";
+    const SweepSpec spec = tinySpec();
+    const std::vector<SweepJob> jobs = expandSweep(spec);
+    {
+        JournalWriter w;
+        w.open(path, sweepSpecKey(spec, jobs), jobs.size(), true);
+        RunSummary s;
+        s.raw.threads.resize(1);
+        for (std::size_t j = 0; j < 2; ++j) {
+            s.raw.threads[0].fetched = 2976 + j;
+            w.append(j, sweepJobKey(jobs[j]), s);
+        }
+    }
+    std::stringstream text;
+    text << std::ifstream(path).rdbuf();
+    auto replayNegated = [&](const std::string &fetched,
+                             std::string &err) {
+        std::string t = text.str();
+        t.insert(t.find("\"fetched\":" + fetched) + 10, "-");
+        std::ofstream(path) << t;
+        JournalReplay replay;
+        bool exists = false;
+        err.clear();
+        return readJournal(path, replay, exists, err)
+            ? replay.summaries.size()
+            : 0u;
+    };
+    std::string err;
+    EXPECT_EQ(replayNegated("2977", err), 1u) << err;
+    EXPECT_EQ(replayNegated("2976", err), 0u);
+    EXPECT_NE(err.find("malformed record mid-file"), std::string::npos)
+        << err;
+    std::remove(path.c_str());
 }
 
 TEST(Journal, SpecKeyTracksOutcomeChangingState)
@@ -669,20 +734,38 @@ runInChild(const std::function<void()> &fn, int &termSignal)
 
 TEST(SweepResume, CrashResumeIsByteIdenticalAcrossJobCounts)
 {
-    const SweepSpec spec = tinySpec();
+    // A 2-core config rides along, so the journal also carries the soc
+    // block: commit hashes, llcPerCore and migrations. The 4-thread
+    // workload is what makes the symbiosis allocator migrate inside
+    // this budget.
+    SweepSpec spec = tinySpec();
+    spec.workloads.push_back(
+        adHocWorkload({"mcf", "gzip", "art", "crafty"}));
+    ConfigOverride chip;
+    chip.label = "chip";
+    chip.numCores = 2;
+    chip.contextsPerCore = 2;
+    chip.allocator = AllocatorKind::Symbiosis;
+    chip.epochCycles = 200;
+    chip.llcArbiter = "chip-dcra";
+    spec.configs = {ConfigOverride{}, chip};
     SweepRunner ref(spec, 1);
-    const std::string expect = allSinks(ref.run());
+    const SweepResults refRes = ref.run();
+    const std::string expect = allSinks(refRes);
+    // Job 8 is the 4-thread chip job under ICOUNT, which a serial
+    // sweep journals before job 9 crashes below.
+    ASSERT_GT(refRes.results[8].summary.raw.migrations, 0u);
 
     for (const int jobs : {1, 4}) {
         const std::string path = "test_runner_crash_resume_" +
             std::to_string(jobs) + ".ndjson";
         std::remove(path.c_str());
 
-        // First leg: job 2 aborts the whole (non-isolated) process.
+        // First leg: job 9 aborts the whole (non-isolated) process.
         RunnerOptions crashOpts;
         crashOpts.journalPath = path;
         ASSERT_TRUE(
-            FaultPlan::parse("2:crash", crashOpts.faults));
+            FaultPlan::parse("9:crash", crashOpts.faults));
         int sig = 0;
         const int rc = runInChild(
             [&]() {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "sim/metrics.hh"
@@ -143,6 +146,22 @@ TEST(SingleCoreRun, ThreadResultAccounting)
     }
     const double thr = r.threads[0].ipc + r.threads[1].ipc;
     EXPECT_NEAR(r.throughput(), thr, 1e-12);
+}
+
+TEST(ThreadCounters, TableRowsAreTheMembersInOrder)
+{
+    // Row i names member i, so every member has exactly one row and
+    // a golden row's brace list reads in table order. The struct is
+    // all u64 (simulator.hh asserts its size against the table).
+    ThreadCounters c;
+    const auto *first = reinterpret_cast<const unsigned char *>(&c);
+    for (std::size_t i = 0; i < std::size(threadCounterFields); ++i) {
+        const auto *at = reinterpret_cast<const unsigned char *>(
+            &(c.*threadCounterFields[i].member));
+        EXPECT_EQ(at - first,
+                  static_cast<std::ptrdiff_t>(i * sizeof(std::uint64_t)))
+            << threadCounterFields[i].key;
+    }
 }
 
 TEST(SingleCoreRun, StopsAtFirstThreadReachingLimit)

@@ -34,12 +34,14 @@
 #include "soc/allocator.hh"
 #include "soc/chip.hh"
 #include "support/dies_with_abort.hh"
+#include "support/same_result.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/generator.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::expectSameResult;
 
 // ---------------------------------------------------------------
 // allocators
@@ -435,40 +437,6 @@ TEST(SharedCache, MshrBackpressureAtExactShareBoundary)
 }
 
 // ---------------------------------------------------------------
-// Result equality (the single-core reference is test_golden_stats)
-// ---------------------------------------------------------------
-
-void
-expectSameResult(const SimResult &a, const SimResult &b,
-                 const char *what)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    ASSERT_EQ(a.threads.size(), b.threads.size()) << what;
-    for (std::size_t t = 0; t < a.threads.size(); ++t) {
-        const ThreadResult &x = a.threads[t];
-        const ThreadResult &y = b.threads[t];
-        EXPECT_EQ(x.bench, y.bench) << what;
-        EXPECT_EQ(x.committed, y.committed) << what;
-        EXPECT_TRUE(x.ipc == y.ipc) << what; // bitwise
-        EXPECT_EQ(x.fetched, y.fetched) << what;
-        EXPECT_EQ(x.fetchedWrongPath, y.fetchedWrongPath) << what;
-        EXPECT_EQ(x.squashed, y.squashed) << what;
-        EXPECT_EQ(x.condBranches, y.condBranches) << what;
-        EXPECT_EQ(x.mispredicts, y.mispredicts) << what;
-        EXPECT_EQ(x.flushes, y.flushes) << what;
-        EXPECT_EQ(x.l1dAccesses, y.l1dAccesses) << what;
-        EXPECT_EQ(x.l1dMisses, y.l1dMisses) << what;
-        EXPECT_EQ(x.l2Accesses, y.l2Accesses) << what;
-        EXPECT_EQ(x.l2Misses, y.l2Misses) << what;
-    }
-    ASSERT_EQ(a.slowPhaseCycles.size(), b.slowPhaseCycles.size())
-        << what;
-    for (std::size_t n = 0; n < a.slowPhaseCycles.size(); ++n)
-        EXPECT_EQ(a.slowPhaseCycles[n], b.slowPhaseCycles[n]) << what;
-    EXPECT_TRUE(a.mlpBusyMean == b.mlpBusyMean) << what; // bitwise
-}
-
-// ---------------------------------------------------------------
 // 2-core golden
 // ---------------------------------------------------------------
 
@@ -545,10 +513,6 @@ TEST(TwoCoreChip, BitDeterministicAcrossRuns)
     const SimResult a = runTwoCore();
     const SimResult b = runTwoCore();
     expectSameResult(a, b, "2-core DCRA");
-    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
 }
 
 TEST(TwoCoreChip, PrintCurrent)
@@ -696,8 +660,6 @@ TEST(Migration, ForcedRotationIsDeterministic)
     const SimResult a = once();
     const SimResult b = once();
     expectSameResult(a, b, "alternate");
-    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes);
-    EXPECT_EQ(a.migrations, b.migrations);
 }
 
 TEST(Migration, CommittedStreamSurvivesMigration)
@@ -746,20 +708,6 @@ TEST(ChipScale, SixThreadsOnThreeCores)
 // parallel chip execution (--chip-jobs)
 // ---------------------------------------------------------------
 
-void
-expectSameChipResult(const SimResult &a, const SimResult &b,
-                     const char *what)
-{
-    expectSameResult(a, b, what);
-    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes) << what;
-    EXPECT_EQ(a.migrations, b.migrations) << what;
-    EXPECT_EQ(a.allocEpochs, b.allocEpochs) << what;
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses) << what;
-    EXPECT_EQ(a.llcMisses, b.llcMisses) << what;
-    EXPECT_EQ(a.llcShareReassignments, b.llcShareReassignments)
-        << what;
-}
-
 TEST(ParallelChip, TwoCoreByteIdenticalAcrossArbiters)
 {
     // The determinism contract: --chip-jobs N reproduces the serial
@@ -779,7 +727,7 @@ TEST(ParallelChip, TwoCoreByteIdenticalAcrossArbiters)
         };
         const SimResult serial = runWith(1);
         const SimResult parallel = runWith(2);
-        expectSameChipResult(serial, parallel, arb);
+        expectSameResult(serial, parallel, arb);
         ASSERT_EQ(serial.coreCommitHashes.size(), 2u) << arb;
     }
 }
@@ -805,8 +753,8 @@ TEST(ParallelChip, FourCoreEightThreadsByteIdentical)
     const SimResult serial = runWith(1);
     // Workers == cores and workers < cores (unequal core
     // partitions) must both reproduce the serial bytes.
-    expectSameChipResult(serial, runWith(4), "4C8T jobs=4");
-    expectSameChipResult(serial, runWith(3), "4C8T jobs=3");
+    expectSameResult(serial, runWith(4), "4C8T jobs=4");
+    expectSameResult(serial, runWith(3), "4C8T jobs=3");
     ASSERT_EQ(serial.coreCommitHashes.size(), 4u);
 }
 
@@ -832,10 +780,9 @@ TEST(ParallelChip, WarmupAndAuditsUnderParallelTick)
     };
     const SimResult serial = runWith(1, false);
     EXPECT_GT(serial.migrations, 0u);
-    expectSameChipResult(serial, runWith(1, true),
-                         "warmup+audit vs per-cycle");
-    expectSameChipResult(serial, runWith(2, false),
-                         "warmup+audit jobs=2");
+    expectSameResult(serial, runWith(1, true),
+                     "warmup+audit vs per-cycle");
+    expectSameResult(serial, runWith(2, false), "warmup+audit jobs=2");
 }
 
 // ---------------------------------------------------------------
@@ -941,14 +888,12 @@ TEST(Quanta, LongRunByteIdenticalAtEveryWorkerCount)
     EXPECT_GT(longest, 1000u);
     EXPECT_GT(serial.migrations, 0u);
     EXPECT_GT(serial.allocEpochs, 1u);
-    expectSameChipResult(serial,
-                         runFourCore(1, 40'000, 50'000'000, true),
-                         "quanta vs per-cycle");
+    expectSameResult(serial, runFourCore(1, 40'000, 50'000'000, true),
+                     "quanta vs per-cycle");
     for (const int jobs : {2, 3, 4}) {
         const std::string what = "4C8T jobs=" + std::to_string(jobs);
-        expectSameChipResult(serial,
-                             runFourCore(jobs, 40'000, 50'000'000),
-                             what.c_str());
+        expectSameResult(serial, runFourCore(jobs, 40'000, 50'000'000),
+                         what);
     }
 }
 
@@ -959,10 +904,9 @@ TEST(Quanta, CycleCapInsideAHorizon)
     const Cycle cap = 3333;
     const SimResult serial = runFourCore(1, 1'000'000, cap);
     EXPECT_EQ(serial.cycles, cap);
-    expectSameChipResult(serial, runFourCore(1, 1'000'000, cap, true),
-                         "cap vs per-cycle");
-    expectSameChipResult(serial, runFourCore(2, 1'000'000, cap),
-                         "cap jobs=2");
+    expectSameResult(serial, runFourCore(1, 1'000'000, cap, true),
+                     "cap vs per-cycle");
+    expectSameResult(serial, runFourCore(2, 1'000'000, cap), "cap jobs=2");
 }
 
 // ---------------------------------------------------------------

@@ -28,11 +28,13 @@
 #include "sim/workload.hh"
 #include "sim/simulator.hh"
 #include "soc/chip.hh"
+#include "support/same_result.hh"
 #include "telemetry/telemetry.hh"
 
 namespace {
 
 using namespace smt;
+using smt::test::expectSameResult;
 
 // ---------------------------------------------------------------
 // hub unit tests
@@ -319,63 +321,25 @@ chipBenches()
     return b;
 }
 
-/** Every SimResult field of two runs, compared exactly. */
-void
-expectSameResult(const SimResult &a, const SimResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.slowPhaseCycles, b.slowPhaseCycles) << what;
-    EXPECT_EQ(a.mlpBusyMean, b.mlpBusyMean) << what;
-    ASSERT_EQ(a.threads.size(), b.threads.size()) << what;
-    for (std::size_t t = 0; t < a.threads.size(); ++t) {
-        const ThreadResult &x = a.threads[t];
-        const ThreadResult &y = b.threads[t];
-        EXPECT_EQ(x.bench, y.bench) << what;
-        EXPECT_EQ(x.committed, y.committed) << what;
-        EXPECT_EQ(x.ipc, y.ipc) << what;
-        EXPECT_EQ(x.fetched, y.fetched) << what;
-        EXPECT_EQ(x.fetchedWrongPath, y.fetchedWrongPath) << what;
-        EXPECT_EQ(x.squashed, y.squashed) << what;
-        EXPECT_EQ(x.condBranches, y.condBranches) << what;
-        EXPECT_EQ(x.mispredicts, y.mispredicts) << what;
-        EXPECT_EQ(x.flushes, y.flushes) << what;
-        EXPECT_EQ(x.l1dAccesses, y.l1dAccesses) << what;
-        EXPECT_EQ(x.l1dMisses, y.l1dMisses) << what;
-        EXPECT_EQ(x.l2Accesses, y.l2Accesses) << what;
-        EXPECT_EQ(x.l2Misses, y.l2Misses) << what;
-    }
-    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes) << what;
-    EXPECT_EQ(a.migrations, b.migrations) << what;
-    EXPECT_EQ(a.allocEpochs, b.allocEpochs) << what;
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses) << what;
-    EXPECT_EQ(a.llcMisses, b.llcMisses) << what;
-    EXPECT_EQ(a.llcArbiter, b.llcArbiter) << what;
-    EXPECT_EQ(a.llcShareReassignments, b.llcShareReassignments) << what;
-    ASSERT_EQ(a.llcPerCore.size(), b.llcPerCore.size()) << what;
-    for (std::size_t c = 0; c < a.llcPerCore.size(); ++c) {
-        EXPECT_EQ(a.llcPerCore[c].accesses, b.llcPerCore[c].accesses);
-        EXPECT_EQ(a.llcPerCore[c].misses, b.llcPerCore[c].misses);
-        EXPECT_EQ(a.llcPerCore[c].mshrShare, b.llcPerCore[c].mshrShare);
-        EXPECT_EQ(a.llcPerCore[c].ways, b.llcPerCore[c].ways);
-        EXPECT_EQ(a.llcPerCore[c].linesOwned,
-                  b.llcPerCore[c].linesOwned);
-    }
-}
-
 TEST(TelemetrySim, AttachingAHubPerturbsNothing)
 {
     // A hub pins every quantum to one cycle, so a hub-attached run
     // ticks every cycle and never skips one: it is the per-cycle
     // reference. The bare run skips dead cycles wherever its policy's
     // bound allows, and must match it in every SimResult field, for
-    // every policy, on a memory-bound and a mixed pair.
+    // every policy, on a memory-bound and a mixed pair, and on a
+    // 3-thread memory-bound cell long enough for FLUSH and FLUSH++ to
+    // flush, so their own skip bounds are exercised too.
     struct Case
     {
         const char *workload;
         Cycle memLatency;
+        std::uint64_t commits;
+        bool flushes; //!< the FLUSH family must flush here
     };
-    const Case cases[] = {{"MEM2.g1", 500}, {"MIX2.g3", 300}};
+    const Case cases[] = {{"MEM2.g1", 500, 4000, false},
+                          {"MIX2.g3", 300, 4000, false},
+                          {"MEM3.g4", 300, 8000, true}};
     for (const char *name : policyNames()) {
         for (const Case &c : cases) {
             const std::string what = std::string(name) + " on " +
@@ -387,20 +351,27 @@ TEST(TelemetrySim, AttachingAHubPerturbsNothing)
                 if (w.id == c.workload)
                     benches = w.benches;
             }
-            ASSERT_EQ(benches.size(), 2u) << what;
+            ASSERT_GE(benches.size(), 2u) << what;
             const PolicyKind kind = parsePolicyKind(name);
 
             ChipSimulator bare(cfg, benches, kind);
-            const SimResult a = bare.run(4000, 2'000'000, 2000);
+            const SimResult a = bare.run(c.commits, 2'000'000, 2000);
             EXPECT_GT(bare.pipeline(0).cyclesSkipped(), 0u) << what;
 
             TelemetryHub hub(500);
             ChipSimulator traced(cfg, benches, kind);
             traced.setTelemetry(&hub);
-            const SimResult b = traced.run(4000, 2'000'000, 2000);
+            const SimResult b = traced.run(c.commits, 2'000'000, 2000);
             EXPECT_EQ(traced.pipeline(0).cyclesSkipped(), 0u) << what;
             expectSameResult(a, b, what);
             EXPECT_GT(hub.sampleCount(), 0u) << what;
+            if (c.flushes && (kind == PolicyKind::Flush ||
+                              kind == PolicyKind::FlushPp)) {
+                std::uint64_t flushes = 0;
+                for (const ThreadResult &t : a.threads)
+                    flushes += t.flushes;
+                EXPECT_GT(flushes, 0u) << what;
+            }
 
             // A single core's channels carry the chip's "c0." prefix,
             // next to the chip-level per-thread IPC.
@@ -426,11 +397,7 @@ TEST(TelemetrySim, ChipHubPerturbsNothing)
     traced.setTelemetry(&hub);
     const SimResult b = traced.run(3000, 2'000'000);
 
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.coreCommitHashes, b.coreCommitHashes);
-    for (std::size_t t = 0; t < a.threads.size(); ++t)
-        EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
+    expectSameResult(a, b, "2-core chip-dcra");
     EXPECT_GT(hub.sampleCount(), 0u);
     EXPECT_GT(hub.eventCount(), 0u);
 }

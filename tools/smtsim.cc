@@ -605,8 +605,7 @@ const Flag kFlags[] = {
          return kNext;
      }},
     {"--policy", "NAME", RunMode,
-     "fetch/allocation policy (default DCRA): ROUND-ROBIN ICOUNT STALL "
-     "FLUSH FLUSH++ DG PDG SRA DCRA DCRA-DEG",
+     "fetch/allocation policy (default DCRA; see --list-policies)",
      [](Cli &c, const Flag &, Text v) {
          c.spec.policies = {parsePolicyKind(v)};
          return kNext;
